@@ -111,13 +111,20 @@ def load_config(path: str | Path) -> dict[str, str]:
     return parse_config_text(path.read_text())
 
 
+def _finite(key: str, value: float) -> float:
+    if not np.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}")
+    return value
+
+
 def _get_float(cfg: dict[str, str], key: str, default: float) -> float:
     if key not in cfg:
         return default
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: expected a number, got {cfg[key]!r}") from None
+    return _finite(key, value)
 
 
 def _get_int(cfg: dict[str, str], key: str, default: int) -> int:
@@ -147,11 +154,12 @@ def _get_float_list(cfg: dict[str, str], key: str,
     if not items:
         raise ConfigError(f"key {key!r}: expected comma-separated numbers")
     try:
-        return [float(piece) for piece in items]
+        values = [float(piece) for piece in items]
     except ValueError:
         raise ConfigError(
             f"key {key!r}: expected comma-separated numbers, got {cfg[key]!r}"
         ) from None
+    return [_finite(key, value) for value in values]
 
 
 def _get_breakpoints(cfg: dict[str, str], key: str) -> tuple[tuple[float, float], ...]:
@@ -164,11 +172,12 @@ def _get_breakpoints(cfg: dict[str, str], key: str) -> tuple[tuple[float, float]
             )
         xs, _, rs = piece.partition(":")
         try:
-            points.append((float(xs), float(rs)))
+            x, rate = float(xs), float(rs)
         except ValueError:
             raise ConfigError(
                 f"key {key!r}: breakpoints are 'position:rate' pairs, got {piece!r}"
             ) from None
+        points.append((_finite(key, x), _finite(key, rate)))
     return tuple(points)
 
 
@@ -246,6 +255,10 @@ def build_setup(cfg: dict[str, str]) -> SimulationSetup:
         influx_before = _get_float(cfg, "influx_before", 2.016)
         influx_after = _get_float(cfg, "influx_after", 2.139)
         jump_time = _get_float(cfg, "jump_time", 0.0)
+        for key, rate in (("influx_before", influx_before),
+                          ("influx_after", influx_after)):
+            if rate < 0.0:
+                raise ConfigError(f"key {key!r}: influx must be >= 0, got {rate:g}")
         try:
             model = FactoryModel(
                 v0=_get_float(cfg, "v0", 1.0),
@@ -271,10 +284,17 @@ def build_setup(cfg: dict[str, str]) -> SimulationSetup:
     if n_cells < 2:
         raise ConfigError(f"n_cells must be >= 2, got {n_cells}")
     snapshot_times = _get_float_list(cfg, "snapshot_times", [t_final])
+    names: dict[str, float] = {}
     for t in snapshot_times:
         if not 0.0 <= t <= t_final:
             raise ConfigError(
                 f"snapshot time {t:g} is outside the run window [0, {t_final:g}]"
+            )
+        other = names.setdefault(_snapshot_name(t), t)
+        if other != t:
+            raise ConfigError(
+                f"key 'snapshot_times': {other!r} and {t!r} would both be "
+                f"written to {_snapshot_name(t)}"
             )
     return SimulationSetup(
         model=model,
@@ -323,6 +343,10 @@ def _write_timeseries(path: Path, report: RunReport) -> int:
     return count
 
 
+def _snapshot_name(t: float) -> str:
+    return f"snapshot_{t:.12g}.csv"
+
+
 def _write_snapshots(setup: SimulationSetup, report: RunReport) -> list[Path]:
     x = report.grid.cell_centers
     written = []
@@ -330,7 +354,7 @@ def _write_snapshots(setup: SimulationSetup, report: RunReport) -> list[Path]:
         values = report.checkpoints.get(float(target))
         if values is None:
             raise RuntimeError(f"run did not land on snapshot time {target:g}")
-        path = setup.output_dir / f"snapshot_{target:.12g}.csv"
+        path = setup.output_dir / _snapshot_name(target)
         _write_csv(path, ("x", "u"), zip(x, values))
         written.append(path)
     return written

@@ -39,10 +39,17 @@ from .splitting import RunReport, StepRecord
 # =============================================================
 
 def numerical_entropy_flux(fluxdesc: NumericalFluxDescriptor, a, b, k):
-    """Crandall-Majda entropy flux G(a, b; k) for the Kruzkov entropy |u - k|."""
-    upper = eval_flux(fluxdesc, np.maximum(a, k), np.maximum(b, k))
-    lower = eval_flux(fluxdesc, np.minimum(a, k), np.minimum(b, k))
-    return upper - lower
+    """Crandall-Majda entropy flux G(a, b; k) for the Kruzkov entropy |u - k|.
+
+    a, b and k broadcast together; the upper and lower flux arguments are
+    stacked so that the whole array costs one eval_flux call.
+    """
+    flux = eval_flux(
+        fluxdesc,
+        np.stack(np.broadcast_arrays(np.maximum(a, k), np.minimum(a, k))),
+        np.stack(np.broadcast_arrays(np.maximum(b, k), np.minimum(b, k))),
+    )
+    return flux[0] - flux[1]
 
 
 @dataclass(frozen=True)
@@ -110,20 +117,29 @@ def _signed_distance(bar: np.ndarray, k, tie_sign: float) -> np.ndarray:
     return s
 
 
-def _residual_for_k(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
-                    src: SourceDescriptor, k, tie_sign: float,
-                    source_values: np.ndarray) -> np.ndarray:
-    """Residual in every cell for one k (scalar or per-cell array)."""
+def _residual_rows(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
+                   k_rows: np.ndarray, tie_sign: float,
+                   source_values: np.ndarray) -> np.ndarray:
+    """Residual of every cell for each row of per-cell k values, shape (rows, n).
+
+    Both interfaces of every cell go through one numerical_entropy_flux
+    call, so the whole array costs a single eval_flux call.
+    """
     before = rec.field_before.values
     bar = rec.field_bar.values
     after = rec.field_after.values
     dtdx = rec.dt / rec.field_before.grid.dx
     ext = np.concatenate([[rec.ghost_left], bar, [rec.ghost_right]])
-    g_right = numerical_entropy_flux(fluxdesc, ext[1:-1], ext[2:], k)
-    g_left = numerical_entropy_flux(fluxdesc, ext[:-2], ext[1:-1], k)
-    s = _signed_distance(bar, k, tie_sign)
-    return (np.abs(after - k) - np.abs(before - k)
-            + dtdx * (g_right - g_left)
+    # Leading axis: right interface (bar_j, bar_{j+1}), left (bar_{j-1}, bar_j).
+    g = numerical_entropy_flux(
+        fluxdesc,
+        np.stack([ext[1:-1], ext[:-2]])[:, None, :],
+        np.stack([ext[2:], ext[1:-1]])[:, None, :],
+        k_rows,
+    )
+    s = _signed_distance(bar, k_rows, tie_sign)
+    return (np.abs(after - k_rows) - np.abs(before - k_rows)
+            + dtdx * (g[0] - g[1])
             - s * rec.dt * source_values)
 
 
@@ -134,25 +150,36 @@ def _source_values(rec: StepRecord, src: SourceDescriptor) -> np.ndarray:
     )
 
 
+# Cells x k values evaluated together by entropy_residual; bounds the
+# memory a large probe set takes.
+_PROBE_BATCH = 1 << 16
+
+
 def entropy_residual(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
                      src: SourceDescriptor, probe: EntropyProbe,
                      tie_sign: float = 0.0) -> EntropyCheckResult:
     """Largest residual over the probe's k set and all cells of one step.
 
     tie_sign selects the convention for sign(0): 0 by default, or +1/-1 to
-    check that the inequality does not hinge on how ties are signed.
+    check that the inequality does not hinge on how ties are signed. Ties
+    go to the first k in probe order, then to the lowest cell.
     """
     gsrc = _source_values(rec, src)
+    n = rec.field_bar.values.size
+    k = probe.k_values
+    block = max(1, _PROBE_BATCH // n)
     worst = -np.inf
     worst_cell = 0
-    worst_k = float(probe.k_values[0])
-    for k in probe.k_values:
-        r = _residual_for_k(rec, fluxdesc, src, float(k), tie_sign, gsrc)
-        j = int(np.argmax(r))
-        if r[j] > worst:
-            worst = float(r[j])
-            worst_cell = j
-            worst_k = float(k)
+    worst_k = float(k[0])
+    for start in range(0, k.size, block):
+        ks = k[start:start + block]
+        k_rows = np.broadcast_to(ks[:, None], (ks.size, n))
+        r = _residual_rows(rec, fluxdesc, k_rows, tie_sign, gsrc)
+        i, j = np.unravel_index(int(np.argmax(r)), r.shape)
+        if r[i, j] > worst:
+            worst = float(r[i, j])
+            worst_cell = int(j)
+            worst_k = float(ks[i])
     return EntropyCheckResult(
         max_residual=worst,
         tolerance=probe.tolerance,
@@ -176,6 +203,13 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     For linear and quadratic fluxes every piece is itself linear or
     quadratic, so this search is exhaustive; for other smooth fluxes it is
     a per-piece refinement of the endpoint probe.
+
+    The per-cell k candidates form (rows, n) arrays evaluated in three
+    batches, one eval_flux call each: the sorted kink rows, every piece's
+    midpoint, and every piece's vertex. A piece whose row has no cell of
+    positive width adds no candidate. Candidates are ranked in the order
+    rows, midpoint 0, vertex 0, midpoint 1, vertex 1, ..., and the first
+    maximum wins, in each cell and then across cells.
     """
     if tolerance is None:
         tolerance = _step_tolerance(rec)
@@ -196,41 +230,30 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     for c in critical_points(fluxdesc.physical, float(lo.min()), float(hi.max())):
         rows.append(np.full((1, n), c))
     k_rows = np.sort(np.vstack(rows), axis=0)
+    r_rows = _residual_rows(rec, fluxdesc, k_rows, tie_sign, gsrc)
 
-    def residual(row):
-        return _residual_for_k(rec, fluxdesc, src, row, tie_sign, gsrc)
+    k1, k2 = k_rows[:-1], k_rows[1:]
+    r1, r2 = r_rows[:-1], r_rows[1:]
+    half = 0.5 * (k2 - k1)
+    live = half > 1e-13 * np.maximum(1.0, np.abs(k1) + np.abs(k2))
+    km = k1 + half
+    rm = _residual_rows(rec, fluxdesc, km, tie_sign, gsrc)
+    # Parabola through (k1, r1), (km, rm), (k2, r2): an interior maximum
+    # exists only where the middle sample arches upward.
+    arch = r1 - 2.0 * rm + r2
+    shift = np.zeros_like(km)
+    np.divide(-half * (r2 - r1), 2.0 * arch, out=shift, where=live & (arch < 0.0))
+    kv = km + np.clip(shift, -half, half)
+    rv = _residual_rows(rec, fluxdesc, kv, tie_sign, gsrc)
+    dead = ~np.any(live, axis=1)
+    rm[dead] = -np.inf
+    rv[dead] = -np.inf
 
-    best_r = np.full(n, -np.inf)
-    best_k = np.empty(n)
-
-    def consider(row, values):
-        nonlocal best_r, best_k
-        better = values > best_r
-        best_r = np.where(better, values, best_r)
-        best_k = np.where(better, row, best_k)
-
-    r_rows = [residual(row) for row in k_rows]
-    for row, values in zip(k_rows, r_rows):
-        consider(row, values)
-    for i in range(len(k_rows) - 1):
-        k1, k2 = k_rows[i], k_rows[i + 1]
-        r1, r2 = r_rows[i], r_rows[i + 1]
-        half = 0.5 * (k2 - k1)
-        live = half > 1e-13 * np.maximum(1.0, np.abs(k1) + np.abs(k2))
-        if not np.any(live):
-            continue
-        km = k1 + half
-        rm = residual(km)
-        consider(km, rm)
-        # Parabola through (k1, r1), (km, rm), (k2, r2): an interior
-        # maximum exists only where the middle sample arches upward.
-        arch = r1 - 2.0 * rm + r2
-        shift = np.zeros(n)
-        probe = live & (arch < 0.0)
-        np.divide(-half * (r2 - r1), 2.0 * arch, out=shift, where=probe)
-        kv = km + np.clip(shift, -half, half)
-        consider(kv, residual(kv))
-
+    cand_r = np.concatenate([r_rows, np.stack([rm, rv], axis=1).reshape(-1, n)])
+    cand_k = np.concatenate([k_rows, np.stack([km, kv], axis=1).reshape(-1, n)])
+    pick = np.argmax(cand_r, axis=0)[None, :]
+    best_r = np.take_along_axis(cand_r, pick, axis=0)[0]
+    best_k = np.take_along_axis(cand_k, pick, axis=0)[0]
     worst_cell = int(np.argmax(best_r))
     return EntropyCheckResult(
         max_residual=float(best_r[worst_cell]),

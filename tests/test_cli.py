@@ -137,6 +137,42 @@ class TestBuildSetup:
         with pytest.raises(ConfigError, match="capacity"):
             build_setup({"influx_before": "2.6"})
 
+    @pytest.mark.parametrize("key", ["influx_before", "influx_after"])
+    def test_negative_influx_is_refused(self, key):
+        with pytest.raises(ConfigError, match=key):
+            build_setup({key: "-1"})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [
+        "jump_time", "influx_before", "influx_after", "v0", "max_load",
+        "t_final", "dt_max", "cfl_number",
+    ])
+    def test_non_finite_number_is_refused(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}.*finite"):
+            build_setup({key: value})
+
+    @pytest.mark.parametrize("value", ["0.5, nan", "inf", "0, -inf"])
+    def test_non_finite_snapshot_time_is_refused(self, value):
+        with pytest.raises(ConfigError, match="snapshot_times.*finite"):
+            build_setup({"t_final": "1.0", "snapshot_times": value})
+
+    @pytest.mark.parametrize("value", [
+        "0:0.01, 0.5:nan, 1:0.02", "0:0.01, inf:0.02", "-inf:0.01, 1:0.02",
+    ])
+    def test_non_finite_breakpoint_is_refused(self, value):
+        with pytest.raises(ConfigError, match="profile_breakpoints.*finite"):
+            build_setup({"source_kind": "piecewise-linear",
+                         "profile_breakpoints": value})
+
+    def test_snapshot_times_sharing_a_file_name_are_refused(self):
+        with pytest.raises(ConfigError, match="snapshot_times.*snapshot_0.5.csv"):
+            build_setup({"t_final": "1.0",
+                         "snapshot_times": "0.5, 0.5000000000001"})
+
+    def test_duplicate_snapshot_times_are_kept_once(self):
+        setup = build_setup({"t_final": "1.0", "snapshot_times": "0.5, 0.5"})
+        assert setup.snapshot_times == [0.5, 0.5]
+
 
 # =============================================================
 # End-to-end modes
@@ -251,6 +287,36 @@ class TestMainErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.cfg")]) == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,key", [
+        ("jump_time = nan", "jump_time"),
+        ("influx_before = nan", "influx_before"),
+        ("influx_before = -1", "influx_before"),
+        ("influx_after = -0.5", "influx_after"),
+        ("snapshot_times = 0.5, 0.5000000000001", "snapshot_times"),
+    ])
+    def test_bad_model_value_exits_with_config_error(self, tmp_path, capsys,
+                                                     line, key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"t_final = 1.0\n{line}\noutput_dir = {out}\n")
+        assert main([str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert key in err
+        assert not out.exists()
+
+    def test_duplicate_snapshot_time_writes_one_file(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, (
+            "t_final = 1.0\n"
+            "n_cells = 20\n"
+            "snapshot_times = 0.5, 1.0, 0.5\n"
+            f"output_dir = {out}\n"
+        ))
+        assert main([str(cfg)]) == 0
+        assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [
+            "snapshot_0.5.csv", "snapshot_1.csv",
+        ]
 
     def test_jammed_run_exits_nonzero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, (

@@ -33,18 +33,20 @@ from splitfv import (
     transport_stage,
     zero_source,
 )
-from splitfv.flux import eval_flux
+import splitfv.diagnostics
+from splitfv.flux import critical_points, eval_flux
 
 
 def burgers_shock_run(n_cells: int = 48, t_final: float = 0.35,
-                      observers=(), keep_snapshots: bool = False):
-    """Decaying Riemann step on [0, 1] under Godunov transport."""
+                      observers=(), keep_snapshots: bool = False,
+                      fluxdesc=None):
+    """Decaying Riemann step on [0, 1], under Godunov transport by default."""
     grid = build_grid(0.0, 1.0, n_cells)
     values = np.where(grid.cell_centers < 0.25, 1.0, 0.0)
     field = CellField(grid, values)
     return run(
         field, t_final,
-        fluxdesc=godunov(burgers_flux()),
+        fluxdesc=fluxdesc or godunov(burgers_flux()),
         src=proportional_decay(0.1),
         bc=BoundarySpec.dirichlet_pair(1.0, 0.0),
         time_axis=TimeAxis(t_final, dt_max=0.05),
@@ -53,18 +55,19 @@ def burgers_shock_run(n_cells: int = 48, t_final: float = 0.35,
     )
 
 
-def expansion_shock_record(fluxdesc):
-    """One transport step on a stationary entropy-violating jump.
+def expansion_shock_record(fluxdesc, left: float = -1.0, right: float = 1.0):
+    """One transport step on an entropy-violating upward jump.
 
-    The field is -1 on the left half and +1 on the right half of [-0.5, 0.5]
-    with matching ghosts, so any conservative scheme whose interface flux is
-    0.5 everywhere leaves it frozen; the Kruzkov inequality rejects that.
+    By default the field is -1 on the left half and +1 on the right half of
+    [-0.5, 0.5] with matching ghosts, so any conservative scheme whose
+    interface flux is 0.5 everywhere leaves it frozen; the Kruzkov
+    inequality rejects that.
     """
     grid = build_grid(-0.5, 0.5, 10)
-    values = np.where(grid.cell_centers < 0.0, -1.0, 1.0)
+    values = np.where(grid.cell_centers < 0.0, left, right)
     field = CellField(grid, values)
     dt = 0.05
-    bc = BoundarySpec.dirichlet_pair(-1.0, 1.0)
+    bc = BoundarySpec.dirichlet_pair(left, right)
     after, gl, gr, f_left, f_right = transport_stage(field, dt, fluxdesc, bc)
     return make_step_record(field, field, after, gl, gr, f_left, f_right,
                             dt, fluxdesc, zero_source())
@@ -154,6 +157,204 @@ class TestEntropyResidual:
         assert 0 <= res.cell_index < 48
         assert np.isfinite(res.k_value)
         assert res.t_before == records[0].t_before
+
+
+# (step index, max_residual, cell_index, k_value) of entropy_residual_max,
+# recorded with the one-k-row-at-a-time search that the batched search
+# replaced. The residuals sit at rounding level, so k_value records which of
+# the tied candidates wins: the first in candidate order.
+BURGERS_SHOCK_PINS = [
+    (0, 2.3297119441934022e-14, 0, -0.0018714909544372826),
+    (1, 2.3254401876338093e-14, 2, -0.0037398313735280686),
+    (5, 2.332335713450817e-14, 0, -0.004162195091508725),
+    (9, 2.3261340770242e-14, 0, 0.9958376781545487),
+    (13, 2.327413435587733e-14, 0, -0.0041623218677261375),
+    (17, 2.335414847620676e-14, 3, -0.010405770535944825),
+    (18, 3.1756281632100425e-15, 17, -0.037717370827123564),
+]
+TESTCASE2_GODUNOV_PINS = [
+    (0, 2.3893213796366553e-14, 20, 1.7956972472054966),
+    (1, 2.4015511801422917e-14, 20, 1.791420103921324),
+    (7, 2.406234933527429e-14, 20, 1.76817884859221),
+    (13, 2.390622422243638e-14, 19, 1.7524112805425265),
+    (19, 2.4266179343701566e-14, 20, 1.7384530740306143),
+    (25, 2.5903758305023672e-14, 20, 1.8603404387761713),
+    (31, 1.3679161969815112e-14, 20, 1.9019223779364562),
+]
+
+
+@pytest.fixture(scope="module")
+def burgers_shock_records():
+    records = []
+    burgers_shock_run(observers=[records.append])
+    return records
+
+
+@pytest.fixture(scope="module")
+def testcase2_records():
+    """Steps of the testcase2 line (linear flux) under Godunov transport."""
+    scenario = preset_scenario("testcase2")
+    records = []
+    run_factory(scenario.model, scenario.initial_density, t_final=1.0,
+                time_axis=TimeAxis(1.0, dt_max=0.05), flux_kind="godunov",
+                grid=build_grid(0.0, 1.0, 40), observers=[records.append])
+    return records
+
+
+def sequential_supremum(rec, tie_sign: float = 0.0):
+    """Reference for entropy_residual_max: one k row at a time.
+
+    Same candidates, each row evaluated on its own, and a candidate replaces
+    the best so far only when strictly larger. Returns
+    (max_residual, cell_index, k_value).
+    """
+    fluxdesc = rec.fluxdesc
+    before = rec.field_before.values
+    bar = rec.field_bar.values
+    after = rec.field_after.values
+    n = bar.size
+    dtdx = rec.dt / rec.field_before.grid.dx
+    ext = np.concatenate([[rec.ghost_left], bar, [rec.ghost_right]])
+    gsrc = np.asarray(rec.src.eval(rec.field_before.grid.cell_centers,
+                                   rec.t_before, bar), dtype=float)
+
+    def residual(k):
+        g = (numerical_entropy_flux(fluxdesc, ext[1:-1], ext[2:], k)
+             - numerical_entropy_flux(fluxdesc, ext[:-2], ext[1:-1], k))
+        s = np.sign(bar - k)
+        if tie_sign != 0.0:
+            s = np.where(bar == k, tie_sign, s)
+        return (np.abs(after - k) - np.abs(before - k) + dtdx * g
+                - s * rec.dt * gsrc)
+
+    local = np.stack([before, after, ext[:-2], bar, ext[2:]])
+    lo = local.min(axis=0)
+    hi = local.max(axis=0)
+    rows = [local, lo[None, :] - 1.0, hi[None, :] + 1.0]
+    rows += [np.full((1, n), c) for c in
+             critical_points(fluxdesc.physical, float(lo.min()), float(hi.max()))]
+    k_rows = np.sort(np.vstack(rows), axis=0)
+    best_r = np.full(n, -np.inf)
+    best_k = np.empty(n)
+
+    def consider(k, r):
+        better = r > best_r
+        best_r[better] = r[better]
+        best_k[better] = k[better]
+
+    r_rows = [residual(k) for k in k_rows]
+    for k, r in zip(k_rows, r_rows):
+        consider(k, r)
+    for i in range(len(k_rows) - 1):
+        k1, k2 = k_rows[i], k_rows[i + 1]
+        half = 0.5 * (k2 - k1)
+        live = half > 1e-13 * np.maximum(1.0, np.abs(k1) + np.abs(k2))
+        if not np.any(live):
+            continue
+        km = k1 + half
+        rm = residual(km)
+        consider(km, rm)
+        arch = r_rows[i] - 2.0 * rm + r_rows[i + 1]
+        shift = np.zeros(n)
+        np.divide(-half * (r_rows[i + 1] - r_rows[i]), 2.0 * arch, out=shift,
+                  where=live & (arch < 0.0))
+        kv = km + np.clip(shift, -half, half)
+        consider(kv, residual(kv))
+    j = int(np.argmax(best_r))
+    return float(best_r[j]), j, float(best_k[j])
+
+
+class TestBatchedSupremum:
+    @pytest.mark.parametrize("tie_sign", [0.0, 1.0, -1.0])
+    @pytest.mark.parametrize("records", ["burgers_shock_records",
+                                         "testcase2_records"])
+    def test_every_step_matches_the_sequential_search(self, records, tie_sign,
+                                                      request):
+        for rec in request.getfixturevalue(records):
+            res = entropy_residual_max(rec, rec.fluxdesc, rec.src,
+                                       tie_sign=tie_sign)
+            max_residual, cell, k_value = sequential_supremum(rec, tie_sign)
+            assert res.max_residual == pytest.approx(max_residual, rel=1e-12)
+            assert res.cell_index == cell
+            assert res.k_value == pytest.approx(k_value, rel=1e-12)
+
+    @pytest.mark.parametrize("records,n_steps,pins", [
+        ("burgers_shock_records", 19, BURGERS_SHOCK_PINS),
+        ("testcase2_records", 32, TESTCASE2_GODUNOV_PINS),
+    ])
+    def test_steps_match_the_recorded_supremum(self, records, n_steps, pins,
+                                               request):
+        records = request.getfixturevalue(records)
+        assert len(records) == n_steps
+        for step, max_residual, cell, k_value in pins:
+            rec = records[step]
+            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            assert res.max_residual == pytest.approx(max_residual, rel=1e-12), step
+            assert res.cell_index == cell, step
+            assert res.k_value == pytest.approx(k_value, rel=1e-12), step
+
+    @pytest.mark.parametrize("case", ["linear", "burgers"])
+    def test_one_check_makes_three_flux_calls(self, case, testcase2_records,
+                                              monkeypatch):
+        # The Burgers jump from -1 to 1 straddles the critical point 0,
+        # which adds an eighth k row; the call count is three either way.
+        if case == "linear":
+            rec, rows = testcase2_records[5], 7
+        else:
+            rec, rows = expansion_shock_record(godunov(burgers_flux())), 8
+        shapes = []
+
+        def counting(fluxdesc, a, b):
+            shapes.append(np.shape(a))
+            return eval_flux(fluxdesc, a, b)
+
+        monkeypatch.setattr(splitfv.diagnostics, "eval_flux", counting)
+        entropy_residual_max(rec, rec.fluxdesc, rec.src)
+        n = rec.field_bar.values.size
+        assert shapes == [(2, 2, rows, n), (2, 2, rows - 1, n),
+                          (2, 2, rows - 1, n)]
+
+    @pytest.mark.parametrize("fluxdesc", [
+        godunov(burgers_flux()),
+        lax_friedrichs(burgers_flux(), viscosity=1.0),
+    ], ids=["godunov", "lax-friedrichs"])
+    def test_exact_supremum_dominates_a_dense_k_sweep(self, fluxdesc):
+        records = []
+        burgers_shock_run(observers=[records.append], fluxdesc=fluxdesc)
+        for rec in records[:: max(1, len(records) // 6)]:
+            assert_dominates_dense_sweep(rec)
+
+    @pytest.mark.parametrize("viscosity,left,right", [
+        (0.3, -1.0, 2.0),
+        (0.6, -0.5, 2.0),
+    ])
+    def test_dense_k_sweep_on_a_violating_step(self, viscosity, left, right):
+        # Too little viscosity lets the jump violate the inequality; the
+        # worst k lies inside a piece, so only the vertex candidate finds it.
+        rec = expansion_shock_record(lax_friedrichs(burgers_flux(), viscosity),
+                                     left, right)
+        exact = assert_dominates_dense_sweep(rec)
+        assert exact.max_residual > 0.4
+        assert not exact.passed
+
+
+def assert_dominates_dense_sweep(rec):
+    """Exact supremum >= the maximum over 2001 evenly spaced k.
+
+    The k values span the step's data range +-1, so they also probe between
+    the state values, where the per-piece search must not miss anything.
+    """
+    data = np.concatenate([
+        rec.field_before.values, rec.field_bar.values,
+        rec.field_after.values, [rec.ghost_left, rec.ghost_right],
+    ])
+    k = np.linspace(data.min() - 1.0, data.max() + 1.0, 2001)
+    dense = entropy_residual(rec, rec.fluxdesc, rec.src,
+                             EntropyProbe(k_values=k, tolerance=1e-10))
+    exact = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+    assert exact.max_residual >= dense.max_residual - 1e-12, (
+        rec.t_before, exact.max_residual, dense.max_residual)
+    return exact
 
 
 class TestExpansionShock:
