@@ -33,13 +33,16 @@ from .splitting import (
     JammedLineError,
     RunReport,
     StepRecord,
-    make_step_record,
     march,
-    source_stage,
-    transport_stage,
 )
 
 FACTORY_FLUX_KINDS = ("upwind-linear", "godunov")
+
+# Relative distance dt keeps below the hard CFL limit of the post-source
+# speed bound. The source solve's tolerance and rounding can put the actual
+# speed slightly above the bound, and an upwind update whose Courant number
+# exceeds 1 by one rounding step turns an empty cell negative.
+_CFL_MARGIN = 1e-9
 
 
 # =============================================================
@@ -76,6 +79,9 @@ class YieldLoss:
                 raise ValueError("breakpoint positions must be strictly increasing")
             if np.any(rs < 0.0):
                 raise ValueError("breakpoint rates must be >= 0")
+            # Built once here, read by every rate_at call of the sink.
+            object.__setattr__(self, "_xs", xs)
+            object.__setattr__(self, "_rs", rs)
 
     @classmethod
     def none(cls) -> YieldLoss:
@@ -96,9 +102,7 @@ class YieldLoss:
             return np.zeros_like(np.asarray(x, dtype=float))
         if self.kind == "constant-rate":
             return np.full_like(np.asarray(x, dtype=float), self.rate)
-        xs = np.array([b[0] for b in self.breakpoints])
-        rs = np.array([b[1] for b in self.breakpoints])
-        return np.interp(np.asarray(x, dtype=float), xs, rs)
+        return np.interp(np.asarray(x, dtype=float), self._xs, self._rs)
 
     def max_rate(self) -> float:
         if self.kind == "none":
@@ -179,7 +183,7 @@ def wip(field: CellField) -> float:
         raise ValueError(
             f"factory fields live on [0, 1], got [{grid.x_min}, {grid.x_max}]"
         )
-    return float(grid.dx * np.sum(field.values))
+    return float(grid.dx * field.values.sum())
 
 
 def velocity(wip_value: float, model: FactoryModel) -> float:
@@ -318,25 +322,26 @@ def run_factory(model: FactoryModel, initial: CellField | float,
                 f"speed={speed}, capacity={model.max_load}"
             )
 
-    def pick_dt(field: CellField) -> float:
-        w = wip(field)
-        v = velocity(w, model)
-        jam_check(w, v, field.time, "dt selection")
-        return min(time_axis.cfl_number * dx / v, time_axis.dt_max)
+    c_max = model.yield_loss.max_rate()
 
-    def advance(field: CellField, dt: float) -> StepRecord:
-        bar = source_stage(field, dt, src)
+    def pick_dt(field: CellField, report: RunReport) -> float:
+        # The recorded channels already hold this field's load and speed.
+        w = report.channels["wip"][-1]
+        v = report.channels["velocity"][-1]
+        jam_check(w, v, field.time, "dt selection")
+        dt = min(time_axis.cfl_number * dx / v, time_axis.dt_max)
+        # The sink lowers the load, so transport runs faster than v. For
+        # nonnegative data the post-source load is at least w / (1 + dt c_max)
+        # and a smaller dt only lowers that speed bound, so capping dt just
+        # under the hard CFL limit of the bound keeps the step admissible.
+        v_bar = velocity(w / (1.0 + dt * c_max), model)
+        return min(dt, (1.0 - _CFL_MARGIN) * dx / v_bar)
+
+    def flux_for(bar: CellField) -> tuple[NumericalFluxDescriptor, float]:
         w_bar = wip(bar)
         v = velocity(w_bar, model)
-        jam_check(w_bar, v, field.time, "post-source load")
-        fluxdesc = transport_descriptor(v, flux_kind)
-        after, ghost_left, ghost_right, flux_left, flux_right = transport_stage(
-            bar, dt, fluxdesc, bc, velocity_hint=v
-        )
-        return make_step_record(
-            field, bar, after, ghost_left, ghost_right, flux_left, flux_right,
-            dt, fluxdesc, src,
-        )
+        jam_check(w_bar, v, bar.time, "post-source load")
+        return transport_descriptor(v, flux_kind), v
 
     def append_channels(field: CellField, report: RunReport) -> None:
         w = wip(field)
@@ -355,7 +360,7 @@ def run_factory(model: FactoryModel, initial: CellField | float,
         append_channels(rec.field_after, report)
 
     return march(
-        field0, t_final, pick_dt, advance,
+        field0, t_final, pick_dt, src, bc, flux_for,
         observers=observers,
         checkpoint_times=checkpoint_times,
         keep_snapshots=keep_snapshots,

@@ -177,7 +177,12 @@ def critical_points(phys: PhysicalFlux, lo: float, hi: float) -> list[float]:
                     b = m
                 else:
                     a, da = m, dm
-            crits.append(0.5 * (a + b))
+            crit = 0.5 * (a + b)
+            # Bisection ends within ~1e-26 of a zero at the origin, on a side
+            # set by the scan range; snap to it so the point is exact.
+            if a <= 0.0 <= b and phys.slope(0.0) == 0.0:
+                crit = 0.0
+            crits.append(crit)
     return sorted(crits)
 
 
@@ -190,7 +195,7 @@ def _godunov_eval(phys: PhysicalFlux, a: np.ndarray, b: np.ndarray) -> np.ndarra
     fmax = np.maximum(fa, fb)
     for c in critical_points(phys, float(lo.min()), float(hi.max())):
         inside = (lo < c) & (c < hi)
-        if np.any(inside):
+        if inside.any():
             fc = phys.eval(c)
             fmin = np.where(inside, np.minimum(fmin, fc), fmin)
             fmax = np.where(inside, np.maximum(fmax, fc), fmax)
@@ -224,8 +229,9 @@ def eval_flux(desc: NumericalFluxDescriptor, a, b):
     scalar = (np.isscalar(a) or np.ndim(a) == 0) and (np.isscalar(b) or np.ndim(b) == 0)
     aa = np.atleast_1d(np.asarray(a, dtype=float))
     bb = np.atleast_1d(np.asarray(b, dtype=float))
-    aa, bb = np.broadcast_arrays(aa, bb)
-    if not (np.all(np.isfinite(aa)) and np.all(np.isfinite(bb))):
+    if aa.shape != bb.shape:
+        aa, bb = np.broadcast_arrays(aa, bb)
+    if not (np.isfinite(aa).all() and np.isfinite(bb).all()):
         raise ValueError("non-finite interface state passed to eval_flux")
     phys = desc.physical
     if desc.kind == "upwind-linear":

@@ -48,7 +48,8 @@ class CellField:
 
     The value array is copied on construction and marked read-only, so a
     field can be shared between step records and observers without risk
-    of aliasing bugs.
+    of aliasing bugs. The split step wraps the arrays it computes with
+    `adopt` instead, which skips the copy and the checks.
     """
 
     grid: Grid1D
@@ -61,12 +62,26 @@ class CellField:
             raise ValueError(
                 f"values shape {values.shape} does not match n_cells={self.grid.n_cells}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("field values must be finite")
         if not np.isfinite(self.time):
             raise ValueError("field time must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def adopt(cls, grid: Grid1D, values: np.ndarray, time: float) -> CellField:
+        """Wrap an array without copying or checking it, and mark it read-only.
+
+        The caller guarantees what the constructor would check: a float
+        array of shape (n_cells,) with finite entries, a finite time, and
+        no other reference that writes to the array.
+        """
+        values.setflags(write=False)
+        field = object.__new__(cls)
+        # The class is frozen: fill the instance dict, as __init__ would.
+        field.__dict__.update(grid=grid, values=values, time=time)
+        return field
 
     def with_values(self, values: np.ndarray, time: float | None = None) -> CellField:
         """New field on the same grid with replaced values (and optionally time)."""
@@ -122,11 +137,12 @@ def project_initial(u0: Callable, grid: Grid1D, quadrature_points: int = 8) -> C
 
 def total_variation(field: CellField) -> float:
     """Sum of absolute jumps across interior interfaces."""
-    return float(np.sum(np.abs(np.diff(field.values))))
+    values = field.values
+    return float(np.abs(values[1:] - values[:-1]).sum())
 
 
 def linf_norm(field: CellField) -> float:
-    return float(np.max(np.abs(field.values)))
+    return float(np.abs(field.values).max())
 
 
 def l1_distance(a: CellField, b: CellField) -> float:

@@ -18,6 +18,7 @@ diagnostics rely on:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -117,7 +118,7 @@ def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor,
     contraction condition lipschitz_u * dt < 1 fails and SourceSolveError
     when the solve cannot be completed at all.
     """
-    if not np.isfinite(dt) or dt <= 0.0:
+    if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
     if src.lipschitz_u * dt >= 1.0:
         raise ValueError(
@@ -125,22 +126,28 @@ def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor,
             f"{src.lipschitz_u * dt} >= 1"
         )
     scalar = np.isscalar(u) or np.ndim(u) == 0
-    u0 = np.atleast_1d(np.asarray(u, dtype=float)).astype(float)
-    xx = np.broadcast_to(np.asarray(x, dtype=float), u0.shape)
-    if not np.all(np.isfinite(u0)):
+    u0 = np.array(u, dtype=float, ndmin=1)
+    xx = np.asarray(x, dtype=float)
+    if xx.shape != u0.shape:
+        xx = np.broadcast_to(xx, u0.shape)
+    if not np.isfinite(u0).all():
         raise ValueError("non-finite state passed to implicit_source_step")
 
+    # Every iterate kept as w is finite, so a converged w is finite too.
     w = u0.copy()
     converged = False
     with np.errstate(all="ignore"):
         for _ in range(max_iters):
             w_next = u0 + dt * np.asarray(src.eval(xx, t, w), dtype=float)
-            if not np.all(np.isfinite(w_next)):
-                w = w_next
-                break
-            if np.max(np.abs(w_next - w)) <= tol:
+            change = np.abs(w_next - w).max()
+            if change <= tol:
                 # |w - u0 - dt g(w)| = |w_next - w| <= tol, so w is the answer.
                 converged = True
+                break
+            # With w finite, a non-finite change means w_next is not finite,
+            # or that two finite iterates differ by more than a float holds.
+            if not math.isfinite(change) and not np.isfinite(w_next).all():
+                w = w_next
                 break
             w = w_next
     if not converged:
@@ -149,8 +156,8 @@ def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor,
         bad = ~np.isfinite(resid) | (resid > tol)
         for i in np.flatnonzero(bad):
             w[i] = _bracketed_rescue(src, float(u0[i]), float(xx[i]), t, dt, tol)
-    if not np.all(np.isfinite(w)):
-        raise SourceSolveError("implicit source update produced non-finite values")
+        if not np.isfinite(w).all():
+            raise SourceSolveError("implicit source update produced non-finite values")
     return float(w[0]) if scalar else w
 
 

@@ -18,6 +18,7 @@ velocity. The right boundary is outflow (zero-gradient copy) or Dirichlet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Sequence
 
@@ -103,7 +104,7 @@ def fill_ghosts(field_bar: CellField, bc: BoundarySpec, t: float,
         ghost_right = float(field_bar.values[-1])
     else:
         ghost_right = float(bc.right_schedule(t))
-    if not (np.isfinite(ghost_left) and np.isfinite(ghost_right)):
+    if not (math.isfinite(ghost_left) and math.isfinite(ghost_right)):
         raise ValueError(f"non-finite ghost value at t={t}")
     return ghost_left, ghost_right
 
@@ -130,12 +131,27 @@ class StepRecord:
     src: SourceDescriptor
 
 
-def source_stage(field: CellField, dt: float, src: SourceDescriptor) -> CellField:
-    """Backward-Euler source update of every cell; keeps the field's time."""
-    bar = implicit_source_step(
-        field.values, field.grid.cell_centers, field.time, dt, src
-    )
-    return field.with_values(bar)
+# Per-step transport flux: maps the post-source field to the numerical flux
+# of the step and the velocity that turns an influx rate into a ghost
+# density (None when the left boundary is not an influx).
+FluxBuilder = Callable[[CellField], tuple[NumericalFluxDescriptor, float | None]]
+
+
+def _fixed_flux(fluxdesc: NumericalFluxDescriptor,
+                velocity_hint: float | None) -> FluxBuilder:
+    """Flux builder that returns the same descriptor on every step."""
+    return lambda field_bar: (fluxdesc, velocity_hint)
+
+
+def source_stage(field: CellField, dt: float, src: SourceDescriptor,
+                 x: np.ndarray) -> CellField:
+    """Backward-Euler source update of every cell; keeps the field's time.
+
+    x holds the cell centres of field.grid.
+    """
+    bar = implicit_source_step(field.values, x, field.time, dt, src)
+    # implicit_source_step returns a new array and raises on non-finite values.
+    return CellField.adopt(field.grid, bar, field.time)
 
 
 def transport_stage(field_bar: CellField, dt: float,
@@ -147,8 +163,9 @@ def transport_stage(field_bar: CellField, dt: float,
     """
     t = field_bar.time
     dx = field_bar.grid.dx
+    values = field_bar.values
     ghost_left, ghost_right = fill_ghosts(field_bar, bc, t, velocity_hint)
-    ext = np.concatenate([[ghost_left], field_bar.values, [ghost_right]])
+    ext = np.concatenate(([ghost_left], values, [ghost_right]))
     L = flux_lipschitz(fluxdesc, float(ext.min()), float(ext.max()))
     if dt * L / dx > 1.0 + _CFL_SLACK:
         raise CFLViolationError(
@@ -156,10 +173,10 @@ def transport_stage(field_bar: CellField, dt: float,
             f"(flux Lipschitz constant {L} over the stencil range)"
         )
     F = eval_flux(fluxdesc, ext[:-1], ext[1:])
-    new_values = field_bar.values - (dt / dx) * (F[1:] - F[:-1])
-    if not np.all(np.isfinite(new_values)):
+    new_values = values - (dt / dx) * (F[1:] - F[:-1])
+    if not np.isfinite(new_values).all():
         raise ArithmeticError(f"transport stage produced non-finite values at t={t}")
-    after = CellField(field_bar.grid, new_values, time=t + dt)
+    after = CellField.adopt(field_bar.grid, new_values, t + dt)
     return after, ghost_left, ghost_right, float(F[0]), float(F[-1])
 
 
@@ -197,13 +214,19 @@ def make_step_record(field_before: CellField, field_bar: CellField,
     )
 
 
-def step(field: CellField, dt: float, fluxdesc: NumericalFluxDescriptor,
-         src: SourceDescriptor, bc: BoundarySpec,
-         velocity_hint: float | None = None) -> StepRecord:
-    """One full split step; refuses to run outside its stability conditions."""
-    if not np.isfinite(dt) or dt <= 0.0:
+def split_step(field: CellField, dt: float, src: SourceDescriptor,
+               bc: BoundarySpec, flux_for: FluxBuilder,
+               x: np.ndarray) -> StepRecord:
+    """One full split step: the source stage, then transport.
+
+    flux_for builds the step's flux from the post-source field; x holds the
+    cell centres of field.grid. Refuses to run outside its stability
+    conditions.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
-    bar = source_stage(field, dt, src)
+    bar = source_stage(field, dt, src, x)
+    fluxdesc, velocity_hint = flux_for(bar)
     after, ghost_left, ghost_right, flux_left, flux_right = transport_stage(
         bar, dt, fluxdesc, bc, velocity_hint
     )
@@ -213,12 +236,20 @@ def step(field: CellField, dt: float, fluxdesc: NumericalFluxDescriptor,
     )
 
 
+def step(field: CellField, dt: float, fluxdesc: NumericalFluxDescriptor,
+         src: SourceDescriptor, bc: BoundarySpec,
+         velocity_hint: float | None = None) -> StepRecord:
+    """One full split step with a fixed flux."""
+    return split_step(field, dt, src, bc, _fixed_flux(fluxdesc, velocity_hint),
+                      field.grid.cell_centers)
+
+
 # =============================================================
 # Run driver and report
 # =============================================================
 
 def _interior_tv(values: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.diff(values[1:-1]))))
+    return float(np.abs(values[2:-1] - values[1:-2]).sum())
 
 
 @dataclass
@@ -285,8 +316,8 @@ class RunReport:
 
 
 def march(initial: CellField, t_final: float,
-          pick_dt: Callable[[CellField], float],
-          advance: Callable[[CellField, float], StepRecord],
+          pick_dt: Callable[[CellField, RunReport], float],
+          src: SourceDescriptor, bc: BoundarySpec, flux_for: FluxBuilder,
           observers: Iterable[Callable[[StepRecord], None]] = (),
           checkpoint_times: Sequence[float] = (),
           keep_snapshots: bool = False,
@@ -294,8 +325,9 @@ def march(initial: CellField, t_final: float,
           on_step: Callable[[StepRecord, RunReport], None] | None = None) -> RunReport:
     """Generic adaptive time loop shared by the plain and model-bound drivers.
 
-    pick_dt proposes a stable step for the current field; advance performs
-    it. Steps are clipped so the run lands exactly on each checkpoint time
+    pick_dt proposes a stable step for the current field, given the report
+    recorded so far; split_step performs it with the flux flux_for builds.
+    Steps are clipped so the run lands exactly on each checkpoint time
     and on t_final; the values at those times go to report.checkpoints.
     """
     if t_final < initial.time:
@@ -304,6 +336,10 @@ def march(initial: CellField, t_final: float,
     report = RunReport.start(initial, keep_snapshots=keep_snapshots)
     if on_start is not None:
         on_start(initial, report)
+    # Cell centres, computed once per run; read-only because every step's
+    # source stage shares them.
+    x = initial.grid.cell_centers
+    x.setflags(write=False)
     tiny = 1e-12 * max(1.0, abs(t_final))
     targets = sorted({float(c) for c in checkpoint_times})
     for target in targets:
@@ -313,8 +349,8 @@ def march(initial: CellField, t_final: float,
     field = initial
     t = initial.time
     while t < t_final - tiny:
-        dt = pick_dt(field)
-        if not np.isfinite(dt) or dt <= 0.0:
+        dt = pick_dt(field, report)
+        if not (math.isfinite(dt) and dt > 0.0):
             raise RuntimeError(f"dt proposal {dt} at t={t} is not usable")
         t_next = min(t + dt, t_final)
         for target in targets:
@@ -325,7 +361,7 @@ def march(initial: CellField, t_final: float,
             t_next = t_final
         if t_next - t < 1e-14 * max(1.0, abs(t_final)):
             raise RuntimeError(f"step size collapsed at t={t}")
-        rec = advance(field, t_next - t)
+        rec = split_step(field, t_next - t, src, bc, flux_for, x)
         report.record_step(rec)
         if on_step is not None:
             on_step(rec, report)
@@ -347,14 +383,11 @@ def run(initial: CellField, t_final: float, fluxdesc: NumericalFluxDescriptor,
         velocity_hint: float | None = None) -> RunReport:
     """March a fixed-flux problem from the initial field to t_final."""
 
-    def pick_dt(field: CellField) -> float:
+    def pick_dt(field: CellField, report: RunReport) -> float:
         return max_dt(fluxdesc, field, time_axis.cfl_number, time_axis.dt_max)
 
-    def advance(field: CellField, dt: float) -> StepRecord:
-        return step(field, dt, fluxdesc, src, bc, velocity_hint)
-
     return march(
-        initial, t_final, pick_dt, advance,
+        initial, t_final, pick_dt, src, bc, _fixed_flux(fluxdesc, velocity_hint),
         observers=observers,
         checkpoint_times=checkpoint_times,
         keep_snapshots=keep_snapshots,

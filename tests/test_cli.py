@@ -6,7 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splitfv import build_grid, run_factory
 from splitfv.cli import (
     ConfigError,
     build_setup,
@@ -255,6 +258,20 @@ class TestMainModes:
         if preset == "testcase2":
             assert "stand-in" in body
 
+    @pytest.mark.parametrize("text", [
+        "preset = testcase1\ncfl_number = 1.0\nt_final = 2\nn_cells = 50\n",
+        "source_kind = constant-rate\nsource_rate = 5\nn_cells = 10\n"
+        "dt_max = 1.0\ncfl_number = 0.9\n",
+    ])
+    def test_sink_speed_up_stays_within_the_cfl_limit(self, tmp_path, capsys,
+                                                      text):
+        # The sink lowers the load within a step and so speeds up transport;
+        # dt must be sized for that speed, not the pre-step one.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, text + f"output_dir = {out}\n")
+        assert main([str(cfg)]) == 0, capsys.readouterr().err
+        assert (out / "timeseries.csv").is_file()
+
     def test_converge_advection(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, CONVERGE_CFG.format(out=out))
@@ -342,3 +359,47 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "timeseries.csv").is_file()
+
+
+# =============================================================
+# Random line configs
+# =============================================================
+
+@st.composite
+def line_configs(draw):
+    """Config text for a line with v0 = 1 and max_load = 10 (capacity 2.5)."""
+    keys = {
+        "n_cells": str(draw(st.integers(10, 100))),
+        "t_final": repr(draw(st.floats(0.1, 1.0))),
+        "cfl_number": repr(draw(st.one_of(st.just(1.0),
+                                          st.floats(0.1, 1.0)))),
+        "dt_max": repr(draw(st.floats(0.01, 1.0))),
+        "influx_before": repr(draw(st.floats(0.0, 2.5, exclude_max=True))),
+        "influx_after": repr(draw(st.floats(0.0, 2.5, exclude_max=True))),
+    }
+    rates = st.floats(0.0, 5.0)
+    kind = draw(st.sampled_from(["none", "constant-rate", "piecewise-linear"]))
+    keys["source_kind"] = kind
+    if kind == "constant-rate":
+        keys["source_rate"] = repr(draw(rates))
+    elif kind == "piecewise-linear":
+        xs = sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=2, max_size=4)))
+        keys["profile_breakpoints"] = ", ".join(
+            f"{x!r}:{draw(rates)!r}" for x in xs)
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(line_configs())
+def test_random_line_config_is_refused_or_runs_cleanly(text):
+    try:
+        setup = build_setup(parse_config_text(text))
+    except ConfigError:
+        return
+    report = run_factory(
+        setup.model, setup.initial_density, setup.t_final, setup.time_axis,
+        flux_kind=setup.flux_kind, keep_snapshots=True,
+        grid=build_grid(0.0, 1.0, setup.n_cells),
+    )
+    assert min(float(snap.min()) for snap in report.snapshots) >= 0.0
+    assert max(report.channels["wip"]) < setup.model.max_load

@@ -366,6 +366,7 @@ class TestExpansionShock:
                         atol=1e-15)
         res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
         assert res.max_residual == pytest.approx(0.25, rel=1e-12)
+        assert res.k_value == 0.0
         assert not res.passed
         # The violation lives strictly between the state values, so a probe
         # only sees it when its k set reaches inside the jump.

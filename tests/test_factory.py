@@ -271,6 +271,42 @@ class TestRunFactory:
         assert_allclose(rep_go.final_field.values, rep_up.final_field.values,
                         rtol=1e-13, atol=1e-14)
 
+    def test_step_records_hold_read_only_arrays(self):
+        scenario = preset_scenario("testcase2")
+        records = []
+        run_factory(scenario.model, scenario.initial_density, t_final=0.2,
+                    time_axis=TimeAxis(0.2, dt_max=0.05), grid=unit_line(20),
+                    observers=[records.append])
+        assert records
+        for rec in records:
+            for field in (rec.field_before, rec.field_bar, rec.field_after):
+                assert not field.values.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    field.values[0] = 0.0
+
+    # Final (WIP, outflux, sum of the final cell values) of 200-cell runs to
+    # t = 20, recorded before run_factory shared one step path with run.
+    RECORDED = {
+        ("testcase1", "upwind-linear"):
+            (2.984867691689747, 2.0496978650659186, 596.9735383379494),
+        ("testcase1", "godunov"):
+            (2.984867691689747, 2.0496978650659186, 596.9735383379494),
+        ("testcase2", "upwind-linear"):
+            (2.982043252944899, 2.0423066884717507, 596.4086505889798),
+        ("testcase2", "godunov"):
+            (2.982043252944899, 2.0423066884717507, 596.4086505889798),
+    }
+
+    @pytest.mark.parametrize("preset,flux_kind", sorted(RECORDED))
+    def test_matches_recorded_outputs(self, preset, flux_kind):
+        scenario = preset_scenario(preset)
+        report = run_factory(scenario.model, scenario.initial_density,
+                             t_final=20.0, time_axis=TimeAxis(20.0),
+                             flux_kind=flux_kind, grid=unit_line(200))
+        got = (report.channels["wip"][-1], report.channels["outflux"][-1],
+               float(report.final_field.values.sum()))
+        assert_allclose(got, self.RECORDED[(preset, flux_kind)], rtol=1e-12)
+
     def test_unknown_flux_kind_is_rejected(self):
         model = basic_model()
         with pytest.raises(ValueError, match="flux_kind"):

@@ -24,6 +24,7 @@ from splitfv import (
     upwind_linear,
     zero_flux,
 )
+from splitfv.flux import critical_points
 
 
 def cubic_flux() -> PhysicalFlux:
@@ -114,6 +115,11 @@ class TestGodunov:
     def test_burgers_values(self, a, b, expected):
         desc = godunov(burgers_flux())
         assert eval_flux(desc, a, b) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (-0.5, 2.0), (-1.0, 2.0)])
+    def test_burgers_critical_point_is_exactly_zero(self, lo, hi):
+        # Bisection alone ends ~1e-26 off zero, on a side set by the range.
+        assert critical_points(burgers_flux(), lo, hi) == [0.0]
 
     def test_matches_brute_force_on_nonconvex_flux(self, rng):
         desc = godunov(cubic_flux())
