@@ -28,6 +28,7 @@ from .flux import NumericalFluxDescriptor, godunov, linear_flux, upwind_linear
 from .mesh import CellField, Grid1D, TimeAxis, build_grid
 from .source import SourceDescriptor, zero_source
 from .splitting import (
+    _CFL_MARGIN,
     JAM_VELOCITY_FLOOR,
     BoundarySpec,
     JammedLineError,
@@ -37,12 +38,6 @@ from .splitting import (
 )
 
 FACTORY_FLUX_KINDS = ("upwind-linear", "godunov")
-
-# Relative distance dt keeps below the hard CFL limit of the post-source
-# speed bound. The source solve's tolerance and rounding can put the actual
-# speed slightly above the bound, and an upwind update whose Courant number
-# exceeds 1 by one rounding step turns an empty cell negative.
-_CFL_MARGIN = 1e-9
 
 
 # =============================================================
@@ -323,13 +318,15 @@ def run_factory(model: FactoryModel, initial: CellField | float,
             )
 
     c_max = model.yield_loss.max_rate()
+    # c_max is the sink's lipschitz_u; the source stage needs c_max * dt < 1.
+    dt_sink = (1.0 - _CFL_MARGIN) / c_max if c_max > 0.0 else math.inf
 
     def pick_dt(field: CellField, report: RunReport) -> float:
         # The recorded channels already hold this field's load and speed.
         w = report.channels["wip"][-1]
         v = report.channels["velocity"][-1]
         jam_check(w, v, field.time, "dt selection")
-        dt = min(time_axis.cfl_number * dx / v, time_axis.dt_max)
+        dt = min(time_axis.cfl_number * dx / v, time_axis.dt_max, dt_sink)
         # The sink lowers the load, so transport runs faster than v. For
         # nonnegative data the post-source load is at least w / (1 + dt c_max)
         # and a smaller dt only lowers that speed bound, so capping dt just

@@ -3,8 +3,9 @@
 The splitting treats the source by one backward-Euler step per time step:
 solve w = u + dt * g(x, t, w) for w. Under the contraction condition
 lipschitz_u * dt < 1 the map w -> u + dt*g(x, t, w) is a contraction, so
-plain fixed-point iteration converges geometrically; a bracketed scalar
-root solve serves as a fallback for descriptors near the contraction limit.
+plain fixed-point iteration converges geometrically; bisection on a
+bracket around each cell's root serves as a fallback for descriptors near
+the contraction limit.
 
 A SourceDescriptor bundles g with the constants the solver and the
 diagnostics rely on:
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 class SourceSolveError(RuntimeError):
@@ -103,8 +103,24 @@ def _bracketed_rescue(src: SourceDescriptor, u0: float, x: float, t: float,
             "no sign change bracketing the implicit source update; the "
             "declared lipschitz_u does not bound the actual source slope"
         )
-    root = brentq(residual, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
-    if abs(residual(root)) > tol:
+    # Bisection keeps residual(lo) <= 0 <= residual(hi). It stops once the
+    # bracket is narrower than 1e-14 + 4 eps |root| and the residual meets
+    # tol (a steep residual needs a narrower bracket), or when the bracket
+    # cannot be split further.
+    rtol = 4.0 * np.finfo(float).eps
+    root = 0.5 * (lo + hi)
+    r = residual(root)
+    while r != 0.0 and (hi - lo > 1e-14 + rtol * abs(root) or abs(r) > tol):
+        if r < 0.0:
+            lo = root
+        else:
+            hi = root
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        root = mid
+        r = residual(root)
+    if not abs(r) <= tol:
         raise SourceSolveError("implicit source update did not reach tolerance")
     return float(root)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,6 +273,31 @@ class TestMainModes:
         assert main([str(cfg)]) == 0, capsys.readouterr().err
         assert (out / "timeseries.csv").is_file()
 
+    def test_dt_stays_below_the_sink_contraction_limit(self, tmp_path, capsys):
+        # The CFL step at this speed is longer than 1 / source_rate, the
+        # limit of the implicit sink solve; dt must stay under both.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, (
+            "v0 = 0.5\n"
+            "source_kind = constant-rate\n"
+            "source_rate = 5\n"
+            "influx_before = 0.5\n"
+            "influx_after = 0.6\n"
+            "max_load = 10\n"
+            "n_cells = 10\n"
+            "dt_max = 1.0\n"
+            "snapshot_times = 1, 2, 3, 4, 5\n"
+            f"output_dir = {out}\n"
+        ))
+        assert main([str(cfg)]) == 0, capsys.readouterr().err
+        series = np.genfromtxt(out / "timeseries.csv", delimiter=",", names=True)
+        assert series["wip"].max() < 10.0
+        snapshots = sorted(out.glob("snapshot_*.csv"))
+        assert len(snapshots) == 5
+        for path in snapshots:
+            snap = np.genfromtxt(path, delimiter=",", names=True)
+            assert snap["u"].min() >= 0.0
+
     def test_converge_advection(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, CONVERGE_CFG.format(out=out))
@@ -359,6 +385,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "timeseries.csv").is_file()
+
+    def test_import_does_not_load_scipy(self):
+        code = (
+            "import sys, splitfv.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 # =============================================================

@@ -167,6 +167,61 @@ class TestEngquistOsher:
             assert eval_flux(desc, a, b) == pytest.approx(expected, abs=5e-7)
 
 
+def quadrature_engquist_osher(phys: PhysicalFlux, a: float, b: float) -> float:
+    """Engquist-Osher by adaptive quadrature of the parts of f', split at
+    the critical points; a reference for the closed form."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    f0 = phys.eval(0.0)
+
+    def oriented(limit: float, part) -> float:
+        if limit == 0.0:
+            return 0.0
+        lo, hi = min(0.0, limit), max(0.0, limit)
+        pts = [c for c in critical_points(phys, lo, hi) if lo < c < hi] or None
+        val, _ = quad(
+            part, 0.0, limit, points=pts, limit=200, epsabs=1e-14, epsrel=1e-12,
+            full_output=0,
+        )
+        return val
+
+    pos = oriented(a, lambda s: max(phys.slope(s), 0.0))
+    neg = oriented(b, lambda s: min(phys.slope(s), 0.0))
+    return f0 + pos + neg
+
+
+class TestEngquistOsherClosedForm:
+    @pytest.mark.parametrize("make_phys", [
+        lambda: linear_flux(0.72),
+        burgers_flux,
+        cubic_flux,
+    ])
+    def test_matches_quadrature_on_the_axiom_lattice(self, make_phys):
+        phys = make_phys()
+        s = np.linspace(-1.5, 1.5, 50)
+        A, B = np.meshgrid(s, s, indexing="ij")
+        got = eval_flux(engquist_osher(phys), A, B)
+        expected = np.array([
+            quadrature_engquist_osher(phys, a, b)
+            for a, b in zip(A.ravel(), B.ravel())
+        ]).reshape(A.shape)
+        assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    def test_one_critical_point_search_per_call(self, monkeypatch, rng):
+        calls = []
+
+        def counted(phys, lo, hi):
+            calls.append((lo, hi))
+            return critical_points(phys, lo, hi)
+
+        monkeypatch.setattr("splitfv.flux.critical_points", counted)
+        a = rng.uniform(0.5, 2.0, 40)
+        b = rng.uniform(-2.0, -0.5, 40)
+        eval_flux(engquist_osher(cubic_flux()), a, b)
+        assert len(calls) == 1
+        # The search spans both states and the origin.
+        assert calls[0] == (float(b.min()), float(a.max()))
+
+
 class TestLaxFriedrichs:
     def test_formula(self):
         desc = lax_friedrichs(burgers_flux(), viscosity=2.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from splitfv import source as source_module
 from splitfv import (
     SourceDescriptor,
     SourceSolveError,
@@ -155,6 +156,35 @@ class TestBracketedRescue:
         x = np.array([0.0, 1.0])
         w = implicit_source_step(np.array([1.0, 1.0]), x, 0.0, 1.0, src)
         assert_allclose(w, [1.0 / 1.1, 1.0 / 7.0], rtol=1e-10)
+
+    def test_near_the_contraction_limit_matches_brentq(self, monkeypatch):
+        # With lipschitz_u * dt = 0.999 the fixed point crawls, so every
+        # cell falls to the bisection rescue.
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        rate, dt = 2.0, 0.999 / 2.0
+        src = SourceDescriptor(
+            func=lambda x, t, u: -rate * np.tanh(u),
+            lipschitz_u=rate,
+            sup_at_zero=0.0,
+            tv_bound=lambda t: 0.0,
+        )
+        rescued = []
+        rescue = source_module._bracketed_rescue
+
+        def counted(*args):
+            rescued.append(args[1])
+            return rescue(*args)
+
+        monkeypatch.setattr(source_module, "_bracketed_rescue", counted)
+        u = np.array([0.05, 0.3, -0.4, 1.0])
+        w = implicit_source_step(u, np.zeros(4), 0.0, dt, src)
+        assert rescued == list(u)
+        expected = [
+            brentq(lambda v: v - u0 + dt * rate * np.tanh(v), u0 - 2.0, u0 + 2.0,
+                   xtol=1e-14, rtol=4 * np.finfo(float).eps)
+            for u0 in u
+        ]
+        assert_allclose(w, expected, rtol=0.0, atol=1e-14)
 
 
 class TestPropertyVerification:

@@ -256,6 +256,21 @@ class TestRun:
             run(initial, 1.0, upwind_linear(linear_flux(1.0)), zero_source(),
                 BoundarySpec.dirichlet_pair(1.0, 1.0), axis)
 
+    @pytest.mark.parametrize("cfl_number", [1.0, 0.9])
+    def test_unit_courant_keeps_empty_cells_nonnegative(self, cfl_number):
+        # At a Courant number of exactly 1, upwind rounding turned empty
+        # cells to -4.4e-16; dt keeps a 1e-9 relative margin under the limit,
+        # and a cfl_number below 1 is taken as given.
+        grid = build_grid(0.0, 1.0, 10)
+        initial = CellField(grid, np.where(grid.cell_centers < 0.5, 1.0, 0.0))
+        axis = TimeAxis(t_final=1.0, dt_max=1.0, cfl_number=cfl_number)
+        report = run(initial, 1.0, upwind_linear(linear_flux(0.7)),
+                     zero_source(), BoundarySpec.dirichlet_pair(0.0, 0.0),
+                     axis, keep_snapshots=True)
+        assert min(float(snap.min()) for snap in report.snapshots) >= 0.0
+        expected = min(cfl_number, 1.0 - 1e-9) * grid.dx / 0.7
+        assert report.dts[0] == expected
+
     def test_observers_see_every_step(self):
         seen = []
         report = shock_run(observers=(lambda rec: seen.append(rec.dt),))

@@ -167,6 +167,16 @@ class TestRefinementStudy:
             assert level.runtime_seconds >= 0.0
             assert level.entropy_max <= 1e-12
 
+    def test_engquist_osher_passes_the_exact_entropy_check(self):
+        result = refinement_study(
+            advection_decay_problem(flux_kind="engquist-osher"),
+            base_cells=25, n_levels=3, entropy_check=True,
+        )
+        assert [lv.n_cells for lv in result.levels] == [25, 50, 100]
+        for level in result.levels:
+            assert level.entropy_max is not None
+            assert level.entropy_max <= 1e-12
+
     def test_rarefaction_error_shrinks_under_refinement(self):
         result = refinement_study(burgers_rarefaction_problem(),
                                   base_cells=50, n_levels=2)
