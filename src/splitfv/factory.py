@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .flux import NumericalFluxDescriptor, godunov, linear_flux, upwind_linear
+from .flux import NumericalFluxDescriptor, godunov, linear_flux
 from .mesh import CellField, Grid1D, TimeAxis, build_grid
 from .source import SourceDescriptor, zero_source
 from .splitting import (
@@ -133,6 +133,7 @@ def as_source(profile: YieldLoss, u_max: float = 0.0) -> SourceDescriptor:
         lipschitz_u=profile.max_rate(),
         sup_at_zero=0.0,
         tv_bound=lambda t: tv_rate * u_max,
+        linear=True,
     )
 
 
@@ -271,7 +272,10 @@ def constant_yield_steady_state(influx_rate: float, rate: float,
 def transport_descriptor(speed: float, flux_kind: str) -> NumericalFluxDescriptor:
     phys = linear_flux(speed)
     if flux_kind == "upwind-linear":
-        return upwind_linear(phys)
+        # linear_flux is linear by construction; only the sign needs a check.
+        if speed < 0:
+            raise ValueError(f"upwind-linear requires speed >= 0, got {float(speed)}")
+        return NumericalFluxDescriptor("upwind-linear", phys)
     if flux_kind == "godunov":
         return godunov(phys)
     raise ValueError(

@@ -19,7 +19,10 @@ Godunov and Engquist-Osher are both evaluated exactly from values of f at
 the interface states, at 0 (Engquist-Osher) and at the critical points of
 f (zeros of f'): f is monotone between consecutive critical points, so the
 extrema of f and the integrals of the parts of f' are read off those values
-(Engquist & Osher, Math. Comp. 36, 1981).
+(Engquist & Osher, Math. Comp. 36, 1981). A physical flux may declare its
+critical points; the shipped linear (nonzero speed) and Burgers fluxes do,
+and for them no search runs. Other fluxes are searched by a slope scan and
+bisection on every Godunov or Engquist-Osher call.
 
 The viscosity alpha of lax-friedrichs must reach sup|f'| over the working
 range for monotonicity; smaller values are accepted by the constructor so
@@ -51,11 +54,14 @@ class PhysicalFlux:
         deriv: f'(u) if known; a central finite difference is used otherwise.
         lipschitz_on: callable (lo, hi) -> sup of |f'| over [lo, hi]; when
             absent the bound is estimated by dense sampling of the slope.
+        critical: the sorted zeros of f' if known; they are searched for
+            on every call of `critical_points` otherwise.
     """
 
     func: Callable
     deriv: Callable | None = None
     lipschitz_on: Callable | None = None
+    critical: tuple[float, ...] | None = None
 
     def eval(self, u):
         out = self.func(np.asarray(u, dtype=float))
@@ -87,12 +93,18 @@ class PhysicalFlux:
 
 
 def linear_flux(speed: float) -> PhysicalFlux:
-    """f(u) = speed * u."""
+    """f(u) = speed * u.
+
+    A nonzero speed declares no critical points. Speed 0 stays undeclared:
+    its slope vanishes everywhere, and the scan's points are k candidates
+    of the entropy check.
+    """
     c = float(speed)
     return PhysicalFlux(
         func=lambda u: c * u,
         deriv=lambda u: c * np.ones_like(np.asarray(u, dtype=float)),
         lipschitz_on=lambda lo, hi: abs(c),
+        critical=() if c != 0.0 else None,
     )
 
 
@@ -102,6 +114,7 @@ def burgers_flux() -> PhysicalFlux:
         func=lambda u: 0.5 * u * u,
         deriv=lambda u: np.asarray(u, dtype=float),
         lipschitz_on=lambda lo, hi: max(abs(lo), abs(hi)),
+        critical=(0.0,),
     )
 
 
@@ -162,14 +175,20 @@ def engquist_osher(physical: PhysicalFlux) -> NumericalFluxDescriptor:
 # =============================================================
 
 def critical_points(phys: PhysicalFlux, lo: float, hi: float) -> list[float]:
-    """Zeros of f' in (lo, hi), located by bisection on a 64-point pre-scan."""
+    """Zeros of f' in (lo, hi): the declared ones, or else located by
+    bisection on a 64-point pre-scan."""
+    if phys.critical is not None:
+        return [c for c in phys.critical if lo < c < hi]
     if not hi > lo:
         return []
     s = np.linspace(lo, hi, 64)
     d = phys.slope(s)
+    # Signs are compared rather than products, which underflow to zero for
+    # slopes near the origin of a tiny bracket.
+    sign = np.sign(d)
     crits = [float(s[i]) for i in range(1, 63) if d[i] == 0.0]
     for i in range(63):
-        if d[i] * d[i + 1] < 0.0:
+        if sign[i] * sign[i + 1] < 0.0:
             a, b = float(s[i]), float(s[i + 1])
             da = float(d[i])
             for _ in range(80):
@@ -178,7 +197,7 @@ def critical_points(phys: PhysicalFlux, lo: float, hi: float) -> list[float]:
                 if dm == 0.0:
                     a = b = m
                     break
-                if da * dm < 0.0:
+                if (da < 0.0) != (dm < 0.0):
                     b = m
                 else:
                     a, da = m, dm

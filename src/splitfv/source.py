@@ -7,6 +7,11 @@ plain fixed-point iteration converges geometrically; bisection on a
 bracket around each cell's root serves as a fallback for descriptors near
 the contraction limit.
 
+A descriptor may declare its source linear in u, g(x, t, u) = g(x, t, 1) u;
+every shipped one does. The solve then evaluates g once per step, iterates
+on that slope, and gives any cell the iteration leaves unsolved the closed
+form u / (1 - dt g(x, t, 1)) instead of the bisection.
+
 A SourceDescriptor bundles g with the constants the solver and the
 diagnostics rely on:
 
@@ -15,6 +20,7 @@ diagnostics rely on:
   tv_bound      B(t) bounding the spatial total variation of g(., t, u)
   growth_const  L_g with |g(x,t,u)| <= L_g (1 + |u|); defaults to
                 max(lipschitz_u, sup_at_zero)
+  linear        g(x, t, u) = g(x, t, 1) * u; defaults to False
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ class SourceDescriptor:
     sup_at_zero: float
     tv_bound: Callable
     growth_const: float | None = None
+    linear: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.lipschitz_u) or self.lipschitz_u < 0:
@@ -66,6 +73,7 @@ def zero_source() -> SourceDescriptor:
         lipschitz_u=0.0,
         sup_at_zero=0.0,
         tv_bound=lambda t: 0.0,
+        linear=True,
     )
 
 
@@ -79,6 +87,7 @@ def proportional_decay(rate: float) -> SourceDescriptor:
         lipschitz_u=r,
         sup_at_zero=0.0,
         tv_bound=lambda t: 0.0,
+        linear=True,
     )
 
 
@@ -149,12 +158,22 @@ def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor,
     if not np.isfinite(u0).all():
         raise ValueError("non-finite state passed to implicit_source_step")
 
+    if src.linear:
+        # One evaluation gives the slope for every iterate and the rescue.
+        slope = np.asarray(src.eval(xx, t, 1.0), dtype=float)
+
+        def g(w):
+            return slope * w
+    else:
+        def g(w):
+            return np.asarray(src.eval(xx, t, w), dtype=float)
+
     # Every iterate kept as w is finite, so a converged w is finite too.
     w = u0.copy()
     converged = False
     with np.errstate(all="ignore"):
         for _ in range(max_iters):
-            w_next = u0 + dt * np.asarray(src.eval(xx, t, w), dtype=float)
+            w_next = u0 + dt * g(w)
             change = np.abs(w_next - w).max()
             if change <= tol:
                 # |w - u0 - dt g(w)| = |w_next - w| <= tol, so w is the answer.
@@ -167,9 +186,18 @@ def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor,
                 break
             w = w_next
     if not converged:
-        with np.errstate(all="ignore"):
-            resid = np.abs(u0 + dt * np.asarray(src.eval(xx, t, w), dtype=float) - w)
-        bad = ~np.isfinite(resid) | (resid > tol)
+        def unsolved(w):
+            with np.errstate(all="ignore"):
+                resid = np.abs(u0 + dt * g(w) - w)
+            return ~np.isfinite(resid) | (resid > tol)
+
+        bad = unsolved(w)
+        if src.linear:
+            # Backward Euler for g = slope * w in closed form; a cell it
+            # leaves outside tol still goes to the bisection.
+            with np.errstate(all="ignore"):
+                w[bad] = (u0 / (1.0 - dt * slope))[bad]
+            bad = unsolved(w)
         for i in np.flatnonzero(bad):
             w[i] = _bracketed_rescue(src, float(u0[i]), float(xx[i]), t, dt, tol)
         if not np.isfinite(w).all():

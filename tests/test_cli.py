@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitfv import build_grid, run_factory
+from splitfv import source as source_module
 from splitfv.cli import (
     ConfigError,
     build_setup,
@@ -273,9 +274,15 @@ class TestMainModes:
         assert main([str(cfg)]) == 0, capsys.readouterr().err
         assert (out / "timeseries.csv").is_file()
 
-    def test_dt_stays_below_the_sink_contraction_limit(self, tmp_path, capsys):
+    def test_dt_stays_below_the_sink_contraction_limit(self, tmp_path, capsys,
+                                                       monkeypatch):
         # The CFL step at this speed is longer than 1 / source_rate, the
-        # limit of the implicit sink solve; dt must stay under both.
+        # limit of the implicit sink solve; dt must stay under both. There
+        # the fixed point does not converge, and the linear sink's closed
+        # form must stand in for the per-cell bisection.
+        rescued = []
+        monkeypatch.setattr(source_module, "_bracketed_rescue",
+                            lambda *args: rescued.append(args))
         out = tmp_path / "out"
         cfg = write_config(tmp_path, (
             "v0 = 0.5\n"
@@ -290,6 +297,7 @@ class TestMainModes:
             f"output_dir = {out}\n"
         ))
         assert main([str(cfg)]) == 0, capsys.readouterr().err
+        assert rescued == []
         series = np.genfromtxt(out / "timeseries.csv", delimiter=",", names=True)
         assert series["wip"].max() < 10.0
         snapshots = sorted(out.glob("snapshot_*.csv"))

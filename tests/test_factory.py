@@ -18,12 +18,14 @@ from splitfv import (
     build_grid,
     constant_yield_steady_state,
     eval_flux,
+    linear_flux,
     outflux,
     preset_scenario,
     run_factory,
     steady_density,
     step_influx,
     transport_descriptor,
+    upwind_linear,
     velocity,
     verify_source_properties,
     wip,
@@ -205,6 +207,26 @@ class TestTransportDescriptor:
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="flux_kind"):
             transport_descriptor(0.7, "lax-friedrichs")
+
+    @pytest.mark.parametrize("kind", ["upwind-linear", "godunov"])
+    def test_descriptor_carries_the_kind_and_speed(self, kind):
+        desc = transport_descriptor(0.7, kind)
+        assert desc.kind == kind
+        assert desc.physical.eval(2.0) == 0.7 * 2.0
+        assert desc.physical.critical == ()
+
+    def test_negative_upwind_speed_is_refused_as_before(self):
+        # The same refusal as upwind_linear's, without its linearity probe.
+        with pytest.raises(ValueError) as expected:
+            upwind_linear(linear_flux(-0.5))
+        with pytest.raises(ValueError) as got:
+            transport_descriptor(-0.5, "upwind-linear")
+        assert str(got.value) == str(expected.value)
+        assert str(got.value) == "upwind-linear requires speed >= 0, got -0.5"
+
+    def test_zero_speed_is_accepted(self):
+        desc = transport_descriptor(0.0, "upwind-linear")
+        assert eval_flux(desc, 3.0, 1.0) == 0.0
 
 
 # =============================================================

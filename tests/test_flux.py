@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from splitfv import (
@@ -220,6 +224,79 @@ class TestEngquistOsherClosedForm:
         assert len(calls) == 1
         # The search spans both states and the origin.
         assert calls[0] == (float(b.min()), float(a.max()))
+
+
+DECLARED_FLUXES = {
+    "linear+": lambda: linear_flux(0.7),
+    "linear-": lambda: linear_flux(-0.7),
+    "burgers": burgers_flux,
+}
+
+
+def scanned(phys: PhysicalFlux) -> PhysicalFlux:
+    """The same flux with its critical points left to the search."""
+    return dataclasses.replace(phys, critical=None)
+
+
+class TestDeclaredCriticalPoints:
+    @pytest.mark.parametrize("name", sorted(DECLARED_FLUXES))
+    @pytest.mark.parametrize("lo,hi", [
+        (-1.0, 1.0),    # 0 inside
+        (0.0, 2.0),     # 0 at lo
+        (-2.0, 0.0),    # 0 at hi
+        (0.5, 2.0),     # 0 outside, above
+        (-2.0, -0.5),   # 0 outside, below
+        (-1.0, 62.0),   # 0 on a node of the 64-point scan
+        (-3.0, 60.0),   # 0 on another node
+        (1.0, 1.0),     # empty bracket
+        (0.0, 0.0),
+        (2.0, -2.0),    # reversed bracket
+    ])
+    def test_declared_points_equal_the_scan(self, name, lo, hi):
+        phys = DECLARED_FLUXES[name]()
+        assert phys.critical is not None
+        assert critical_points(phys, lo, hi) == critical_points(scanned(phys), lo, hi)
+
+    @pytest.mark.parametrize("name", sorted(DECLARED_FLUXES))
+    @pytest.mark.parametrize("make_desc", [godunov, engquist_osher])
+    def test_fluxes_are_bitwise_equal_on_the_axiom_lattice(self, name, make_desc):
+        phys = DECLARED_FLUXES[name]()
+        s = np.linspace(-1.5, 1.5, 50)
+        A, B = np.meshgrid(s, s, indexing="ij")
+        got = eval_flux(make_desc(phys), A, B)
+        expected = eval_flux(make_desc(scanned(phys)), A, B)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_declared_flux_makes_no_slope_call(self, monkeypatch):
+        calls = []
+        slope = PhysicalFlux.slope
+
+        def counted(self, u):
+            calls.append(u)
+            return slope(self, u)
+
+        monkeypatch.setattr(PhysicalFlux, "slope", counted)
+        for make_phys in DECLARED_FLUXES.values():
+            critical_points(make_phys(), -1.0, 1.0)
+        assert calls == []
+        critical_points(cubic_flux(), -2.0, 2.0)
+        assert calls
+
+    @pytest.mark.parametrize("make_phys", [lambda: linear_flux(0.0), zero_flux])
+    def test_flat_fluxes_still_scan(self, make_phys):
+        # Every interior scan node is a zero of f' and a k candidate of the
+        # entropy check, so a flat flux declares nothing.
+        phys = make_phys()
+        assert phys.critical is None
+        assert len(critical_points(phys, -1.0, 1.0)) == 62
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(DECLARED_FLUXES)),
+       st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+def test_declared_critical_points_match_the_scan_on_random_brackets(name, lo, hi):
+    phys = DECLARED_FLUXES[name]()
+    assert critical_points(phys, lo, hi) == critical_points(scanned(phys), lo, hi)
 
 
 class TestLaxFriedrichs:

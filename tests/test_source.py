@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,8 @@ from splitfv import source as source_module
 from splitfv import (
     SourceDescriptor,
     SourceSolveError,
+    YieldLoss,
+    as_source,
     implicit_source_step,
     proportional_decay,
     verify_source_properties,
@@ -185,6 +189,86 @@ class TestBracketedRescue:
             for u0 in u
         ]
         assert_allclose(w, expected, rtol=0.0, atol=1e-14)
+
+
+LINEAR_SINKS = {
+    "zero": zero_source,
+    "decay": lambda: proportional_decay(0.03),
+    "line-none": lambda: as_source(YieldLoss.none()),
+    "line-constant": lambda: as_source(YieldLoss.constant(0.03)),
+    "line-piecewise": lambda: as_source(YieldLoss.piecewise_linear(
+        ((0.0, 0.01), (0.5, 0.05), (1.0, 0.02)))),
+}
+
+
+def counted_eval(src: SourceDescriptor) -> tuple[SourceDescriptor, list[int]]:
+    """The same descriptor, linear declaration included, with g counted."""
+    calls = [0]
+
+    def func(x, t, u):
+        calls[0] += 1
+        return src.func(x, t, u)
+
+    return dataclasses.replace(src, func=func), calls
+
+
+class TestLinearSink:
+    @pytest.mark.parametrize("name", sorted(LINEAR_SINKS))
+    def test_shipped_sinks_declare_linearity(self, name):
+        assert LINEAR_SINKS[name]().linear
+
+    @pytest.mark.parametrize("name", sorted(LINEAR_SINKS))
+    @pytest.mark.parametrize("fraction", [1e-3, 0.1, 0.5, 0.7])
+    def test_matches_the_undeclared_solve_bitwise(self, name, fraction):
+        src = LINEAR_SINKS[name]()
+        # A fraction of the contraction cap 1 / lipschitz_u; sinks without
+        # a cap take dt = 100 * fraction.
+        cap = 1.0 / src.lipschitz_u if src.lipschitz_u > 0.0 else 100.0
+        dt = fraction * cap
+        rng = np.random.default_rng(7)
+        x = np.sort(rng.uniform(0.0, 1.0, 64))
+        u = rng.uniform(0.0, 5.0, 64)
+        got = implicit_source_step(u, x, 0.3, dt, src)
+        expected = implicit_source_step(
+            u, x, 0.3, dt, dataclasses.replace(src, linear=False))
+        assert got.tobytes() == expected.tobytes()
+        scalar = implicit_source_step(2.5, 0.4, 0.3, dt, src)
+        assert scalar == implicit_source_step(
+            2.5, 0.4, 0.3, dt, dataclasses.replace(src, linear=False))
+
+    @pytest.mark.parametrize("name", sorted(LINEAR_SINKS))
+    def test_one_evaluation_per_solve(self, name):
+        src, calls = counted_eval(LINEAR_SINKS[name]())
+        x = np.linspace(0.0, 1.0, 32)
+        implicit_source_step(np.full(32, 2.0), x, 0.0, 0.5, src)
+        assert calls[0] == 1
+        implicit_source_step(np.full(32, 3.0), x, 0.5, 0.5, src)
+        assert calls[0] == 2
+
+    def test_contraction_limit_takes_the_closed_form(self, monkeypatch):
+        # At lipschitz_u * dt = 1 - 1e-9 the fixed point oscillates without
+        # converging; a linear sink needs no bisection for that.
+        rescued = []
+        rescue = source_module._bracketed_rescue
+
+        def counted(*args):
+            rescued.append(args[1])
+            return rescue(*args)
+
+        monkeypatch.setattr(source_module, "_bracketed_rescue", counted)
+        rate = 5.0
+        dt = (1.0 - 1e-9) / rate
+        src = as_source(YieldLoss.constant(rate))
+        u = np.linspace(0.0, 2.0, 10)
+        x = np.linspace(0.05, 0.95, 10)
+        w = implicit_source_step(u, x, 0.0, dt, src)
+        assert rescued == []
+        assert_allclose(w, u / (1.0 + rate * dt), rtol=1e-15)
+        assert np.abs(w - u + dt * rate * w).max() <= 1e-12
+        undeclared = implicit_source_step(
+            u, x, 0.0, dt, dataclasses.replace(src, linear=False))
+        assert len(rescued) == 9  # every cell but the empty one
+        assert_allclose(w, undeclared, rtol=0.0, atol=1e-14)
 
 
 class TestPropertyVerification:
