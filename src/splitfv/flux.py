@@ -20,8 +20,8 @@ the interface states, at 0 (Engquist-Osher) and at the critical points of
 f (zeros of f'): f is monotone between consecutive critical points, so the
 extrema of f and the integrals of the parts of f' are read off those values
 (Engquist & Osher, Math. Comp. 36, 1981). A physical flux may declare its
-critical points; the shipped linear (nonzero speed) and Burgers fluxes do,
-and for them no search runs. Other fluxes are searched by a slope scan and
+critical points; every shipped flux (linear, Burgers, zero) does, and for
+them no search runs. Other fluxes are searched by a slope scan and
 bisection on every Godunov or Engquist-Osher call.
 
 The viscosity alpha of lax-friedrichs must reach sup|f'| over the working
@@ -93,18 +93,18 @@ class PhysicalFlux:
 
 
 def linear_flux(speed: float) -> PhysicalFlux:
-    """f(u) = speed * u.
+    """f(u) = speed * u; declares no critical points.
 
-    A nonzero speed declares no critical points. Speed 0 stays undeclared:
-    its slope vanishes everywhere, and the scan's points are k candidates
-    of the entropy check.
+    At speed 0 the slope vanishes everywhere, but f is constant, so no
+    point is needed to bound it: the extrema of f over any interval are
+    read off its ends.
     """
     c = float(speed)
     return PhysicalFlux(
         func=lambda u: c * u,
         deriv=lambda u: c * np.ones_like(np.asarray(u, dtype=float)),
         lipschitz_on=lambda lo, hi: abs(c),
-        critical=() if c != 0.0 else None,
+        critical=(),
     )
 
 
@@ -124,6 +124,7 @@ def zero_flux() -> PhysicalFlux:
         func=lambda u: 0.0 * np.asarray(u, dtype=float),
         deriv=lambda u: 0.0 * np.asarray(u, dtype=float),
         lipschitz_on=lambda lo, hi: 0.0,
+        critical=(),
     )
 
 

@@ -31,6 +31,7 @@ from splitfv import (
     run_factory,
     time_bv_report,
     transport_stage,
+    zero_flux,
     zero_source,
 )
 import splitfv.diagnostics
@@ -322,6 +323,16 @@ class TestBatchedSupremum:
         records = []
         burgers_shock_run(observers=[records.append], fluxdesc=fluxdesc)
         for rec in records[:: max(1, len(records) // 6)]:
+            assert_dominates_dense_sweep(rec)
+
+    def test_flat_flux_decay_run_dominates_a_dense_k_sweep(self):
+        # zero_flux declares no critical points, so the search has no k row
+        # inside the data beyond the states themselves.
+        records = []
+        burgers_shock_run(observers=[records.append],
+                          fluxdesc=godunov(zero_flux()))
+        assert records
+        for rec in records:
             assert_dominates_dense_sweep(rec)
 
     @pytest.mark.parametrize("viscosity,left,right", [

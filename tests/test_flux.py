@@ -233,6 +233,9 @@ DECLARED_FLUXES = {
 }
 
 
+FLAT_FLUXES = [lambda: linear_flux(0.0), zero_flux]
+
+
 def scanned(phys: PhysicalFlux) -> PhysicalFlux:
     """The same flux with its critical points left to the search."""
     return dataclasses.replace(phys, critical=None)
@@ -282,13 +285,24 @@ class TestDeclaredCriticalPoints:
         critical_points(cubic_flux(), -2.0, 2.0)
         assert calls
 
-    @pytest.mark.parametrize("make_phys", [lambda: linear_flux(0.0), zero_flux])
-    def test_flat_fluxes_still_scan(self, make_phys):
-        # Every interior scan node is a zero of f' and a k candidate of the
-        # entropy check, so a flat flux declares nothing.
+    @pytest.mark.parametrize("make_phys", FLAT_FLUXES)
+    def test_flat_fluxes_declare_no_critical_points(self, make_phys):
         phys = make_phys()
-        assert phys.critical is None
-        assert len(critical_points(phys, -1.0, 1.0)) == 62
+        assert phys.critical == ()
+        assert critical_points(phys, -1.0, 1.0) == []
+
+    @pytest.mark.parametrize("make_phys", FLAT_FLUXES)
+    @pytest.mark.parametrize("make_desc", [godunov, engquist_osher])
+    def test_flat_fluxes_equal_the_scan_on_the_axiom_lattice(self, make_phys,
+                                                             make_desc):
+        # The scan finds 62 points where f' vanishes; f is constant there,
+        # so they change nothing but the sign of a zero under Godunov.
+        phys = make_phys()
+        s = np.linspace(-1.5, 1.5, 50)
+        A, B = np.meshgrid(s, s, indexing="ij")
+        got = eval_flux(make_desc(phys), A, B)
+        expected = eval_flux(make_desc(scanned(phys)), A, B)
+        assert np.array_equal(got, expected)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
