@@ -413,7 +413,7 @@ def mode_verify(setup: SimulationSetup) -> int:
     for note in setup.notes:
         rows.append(("note", "INFO", "", "", note))
 
-    entropy = EntropyObserver(method="exact")
+    entropy = EntropyObserver()
     report = _run_setup(setup, observers=(entropy,))
     u_hi = max(report.linf)
 

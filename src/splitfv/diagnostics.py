@@ -11,10 +11,10 @@ G(a, b; k) = F(max(a,k), max(b,k)) - F(min(a,k), min(b,k)). As a function of
 k the residual has constant tails outside a cell's data, kinks at the values
 entering its inequality and at critical points of the physical flux, and is
 smooth in between with the flux's own shape (linear pieces for a linear
-flux, quadratic for a quadratic one). entropy_residual_max probes every
-piece at its endpoints, midpoint and fitted parabola vertex, which is
-exhaustive for linear and quadratic fluxes; entropy_residual evaluates a
-caller-supplied probe set instead.
+flux, quadratic for a quadratic one). entropy_residual_max, the one entropy
+check, takes the supremum over k by evaluating every piece at its
+endpoints, midpoint and fitted parabola vertex, which is exhaustive for
+linear and quadratic fluxes.
 
 Stability: the split scheme keeps the sup norm and the total variation
 under exponential-in-time envelopes whose rate is
@@ -52,24 +52,6 @@ def numerical_entropy_flux(fluxdesc: NumericalFluxDescriptor, a, b, k):
     return flux[0] - flux[1]
 
 
-@dataclass(frozen=True)
-class EntropyProbe:
-    """A set of entropy constants k to test, with a pass tolerance."""
-
-    k_values: np.ndarray
-    tolerance: float
-
-    def __post_init__(self):
-        k = np.asarray(self.k_values, dtype=float)
-        if k.ndim != 1 or k.size == 0:
-            raise ValueError("k_values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(k)):
-            raise ValueError("k_values must be finite")
-        object.__setattr__(self, "k_values", k)
-        if self.tolerance <= 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-
-
 def _step_tolerance(rec: StepRecord) -> float:
     scale = max(
         1.0,
@@ -77,22 +59,6 @@ def _step_tolerance(rec: StepRecord) -> float:
         float(np.max(np.abs(rec.field_after.values))),
     )
     return 1e-10 * scale
-
-
-def default_probe(rec: StepRecord, pad: float = 0.1,
-                  tolerance: float | None = None) -> EntropyProbe:
-    """Probe set from a step: every distinct state value plus padded extremes."""
-    pool = np.concatenate([
-        rec.field_before.values,
-        rec.field_bar.values,
-        [rec.ghost_left, rec.ghost_right],
-        rec.field_after.values,
-    ])
-    values = np.unique(pool)
-    k = np.concatenate([values, [values[0] - pad, values[-1] + pad]])
-    if tolerance is None:
-        tolerance = _step_tolerance(rec)
-    return EntropyProbe(k_values=np.sort(k), tolerance=tolerance)
 
 
 @dataclass(frozen=True)
@@ -150,45 +116,6 @@ def _source_values(rec: StepRecord, src: SourceDescriptor) -> np.ndarray:
     )
 
 
-# Cells x k values evaluated together by entropy_residual; bounds the
-# memory a large probe set takes.
-_PROBE_BATCH = 1 << 16
-
-
-def entropy_residual(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
-                     src: SourceDescriptor, probe: EntropyProbe,
-                     tie_sign: float = 0.0) -> EntropyCheckResult:
-    """Largest residual over the probe's k set and all cells of one step.
-
-    tie_sign selects the convention for sign(0): 0 by default, or +1/-1 to
-    check that the inequality does not hinge on how ties are signed. Ties
-    go to the first k in probe order, then to the lowest cell.
-    """
-    gsrc = _source_values(rec, src)
-    n = rec.field_bar.values.size
-    k = probe.k_values
-    block = max(1, _PROBE_BATCH // n)
-    worst = -np.inf
-    worst_cell = 0
-    worst_k = float(k[0])
-    for start in range(0, k.size, block):
-        ks = k[start:start + block]
-        k_rows = np.broadcast_to(ks[:, None], (ks.size, n))
-        r = _residual_rows(rec, fluxdesc, k_rows, tie_sign, gsrc)
-        i, j = np.unravel_index(int(np.argmax(r)), r.shape)
-        if r[i, j] > worst:
-            worst = float(r[i, j])
-            worst_cell = int(j)
-            worst_k = float(ks[i])
-    return EntropyCheckResult(
-        max_residual=worst,
-        tolerance=probe.tolerance,
-        cell_index=worst_cell,
-        k_value=worst_k,
-        t_before=rec.t_before,
-    )
-
-
 def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
                          src: SourceDescriptor, tie_sign: float = 0.0,
                          tolerance: float | None = None) -> EntropyCheckResult:
@@ -202,7 +129,7 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     the parabola through those three points when it arches above them.
     For linear and quadratic fluxes every piece is itself linear or
     quadratic, so this search is exhaustive; for other smooth fluxes it is
-    a per-piece refinement of the endpoint probe.
+    a per-piece refinement of the endpoint search.
 
     The per-cell k candidates form (rows, n) arrays evaluated in three
     batches, one eval_flux call each: the sorted kink rows, every piece's
@@ -267,30 +194,19 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
 class EntropyObserver:
     """Per-step entropy check to attach to a run's observer list.
 
-    method 'exact' evaluates the exact per-cell supremum over k; 'probe'
-    uses the default probe set built from each step's states. The flux and
-    source are taken from each step's record, so runs whose transport flux
-    changes between steps are handled.
+    Every step is checked with entropy_residual_max, the exact per-cell
+    supremum over k. The flux and source are taken from each step's
+    record, so runs whose transport flux changes between steps are handled.
     """
 
-    def __init__(self, method: str = "exact", tie_sign: float = 0.0):
-        if method not in ("exact", "probe"):
-            raise ValueError(f"method must be 'exact' or 'probe', got {method!r}")
-        self.method = method
+    def __init__(self, tie_sign: float = 0.0):
         self.tie_sign = tie_sign
         self.results: list[EntropyCheckResult] = []
 
     def __call__(self, rec: StepRecord) -> None:
-        if self.method == "exact":
-            res = entropy_residual_max(
-                rec, rec.fluxdesc, rec.src, tie_sign=self.tie_sign
-            )
-        else:
-            probe = default_probe(rec)
-            res = entropy_residual(
-                rec, rec.fluxdesc, rec.src, probe, tie_sign=self.tie_sign
-            )
-        self.results.append(res)
+        self.results.append(entropy_residual_max(
+            rec, rec.fluxdesc, rec.src, tie_sign=self.tie_sign
+        ))
 
     @property
     def worst(self) -> EntropyCheckResult:

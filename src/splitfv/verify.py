@@ -238,7 +238,7 @@ def solve_on_grid(problem: TestProblem, n_cells: int, cfl_number: float = 0.9,
     observers = []
     entropy = None
     if entropy_check:
-        entropy = EntropyObserver(method="exact")
+        entropy = EntropyObserver()
         observers.append(entropy)
     report = run(initial, problem.t_final, problem.fluxdesc(), problem.source,
                  bc, axis, observers=observers)

@@ -83,7 +83,7 @@ def hold_run():
     started = time.perf_counter()
     run_factory(model, 2.8, 2.0, axis, grid=GRID)
     bare_seconds = time.perf_counter() - started
-    entropy = EntropyObserver(method="exact")
+    entropy = EntropyObserver()
     invariance = InvarianceTracker()
     report = run_factory(model, 2.8, 2.0, axis, grid=GRID,
                          observers=(entropy, invariance))
@@ -104,7 +104,7 @@ def jump_run():
     started = time.perf_counter()
     run_factory(model, 2.8, 50.0, axis, grid=GRID)
     bare_seconds = time.perf_counter() - started
-    entropy = EntropyObserver(method="exact")
+    entropy = EntropyObserver()
     report = run_factory(model, 2.8, 50.0, axis, grid=GRID,
                          observers=(entropy,))
     return dict(report=report, entropy=entropy, bare_seconds=bare_seconds,
@@ -117,7 +117,7 @@ def yield_run():
     model = FactoryModel(v0=1.0, max_load=10.0, influx=lambda t: 2.139,
                          yield_loss=YieldLoss.constant(0.03))
     axis = TimeAxis(50.0, dt_max=0.1)
-    entropy = EntropyObserver(method="exact")
+    entropy = EntropyObserver()
     report = run_factory(model, 2.8, 50.0, axis, grid=GRID,
                          observers=(entropy,))
     return dict(report=report, entropy=entropy, growth_const=0.03,
@@ -128,7 +128,7 @@ def riemann_with_decay(fluxdesc, t_final: float):
     grid = build_grid(-0.5, 0.5, 200)
     values = np.where(grid.cell_centers < 0.0, 1.0, 0.0)
     axis = TimeAxis(t_final, dt_max=0.05)
-    entropy = EntropyObserver(method="exact")
+    entropy = EntropyObserver()
     report = run(
         CellField(grid, values), t_final, fluxdesc,
         proportional_decay(0.1), BoundarySpec.dirichlet_pair(1.0, 0.0),

@@ -11,15 +11,12 @@ from splitfv import (
     BoundCheckConfig,
     CellField,
     EntropyObserver,
-    EntropyProbe,
     TimeAxis,
     YieldLoss,
     build_grid,
     burgers_flux,
     check_linf_bound,
     check_tv_bound,
-    default_probe,
-    entropy_residual,
     entropy_residual_max,
     godunov,
     lax_friedrichs,
@@ -113,14 +110,6 @@ class TestNumericalEntropyFlux:
 # =============================================================
 
 class TestEntropyResidual:
-    def test_probe_validation(self):
-        with pytest.raises(ValueError):
-            EntropyProbe(k_values=np.array([[1.0]]), tolerance=1e-10)
-        with pytest.raises(ValueError):
-            EntropyProbe(k_values=np.array([np.nan]), tolerance=1e-10)
-        with pytest.raises(ValueError):
-            EntropyProbe(k_values=np.array([1.0]), tolerance=0.0)
-
     def test_below_range_constant_recovers_conservation(self):
         # For k under every state the residual telescopes to the update
         # identity, so it must vanish to solver precision, not merely stay
@@ -128,18 +117,21 @@ class TestEntropyResidual:
         records = []
         burgers_shock_run(observers=[records.append])
         rec = records[len(records) // 2]
-        probe = EntropyProbe(k_values=np.array([-5.0]), tolerance=1e-10)
-        res = entropy_residual(rec, rec.fluxdesc, rec.src, probe)
-        assert abs(res.max_residual) <= 1e-11
+        assert abs(float(np.max(cell_residuals(rec, -5.0)))) <= 1e-11
 
     def test_exact_maximum_dominates_the_probe(self):
         records = []
         burgers_shock_run(observers=[records.append])
         for rec in records[:: max(1, len(records) // 6)]:
-            probed = entropy_residual(rec, rec.fluxdesc, rec.src,
-                                      default_probe(rec))
+            # Every state value of the step, plus both extremes padded by 0.1.
+            values = np.unique(np.concatenate([
+                rec.field_before.values, rec.field_bar.values,
+                [rec.ghost_left, rec.ghost_right], rec.field_after.values,
+            ]))
+            k = np.concatenate([values, [values[0] - 0.1, values[-1] + 0.1]])
+            probed = float(np.max(cell_residuals(rec, k[:, None])))
             exact = entropy_residual_max(rec, rec.fluxdesc, rec.src)
-            assert exact.max_residual >= probed.max_residual - 1e-12
+            assert exact.max_residual >= probed - 1e-12
 
     @pytest.mark.parametrize("tie_sign", [0.0, 1.0, -1.0])
     def test_shock_run_passes_under_any_tie_convention(self, tie_sign):
@@ -202,6 +194,29 @@ def testcase2_records():
     return records
 
 
+def cell_residuals(rec, k, tie_sign: float = 0.0):
+    """Entropy residual of every cell of a step at the constant(s) k.
+
+    k is a scalar, one value per cell, or an (m, 1) column of constants,
+    which gives an (m, n) array. Written out from the inequality, with no
+    call into the diagnostics module, so it serves as an independent oracle.
+    """
+    before = rec.field_before.values
+    bar = rec.field_bar.values
+    after = rec.field_after.values
+    dtdx = rec.dt / rec.field_before.grid.dx
+    ext = np.concatenate([[rec.ghost_left], bar, [rec.ghost_right]])
+    gsrc = np.asarray(rec.src.eval(rec.field_before.grid.cell_centers,
+                                   rec.t_before, bar), dtype=float)
+    g = (numerical_entropy_flux(rec.fluxdesc, ext[1:-1], ext[2:], k)
+         - numerical_entropy_flux(rec.fluxdesc, ext[:-2], ext[1:-1], k))
+    s = np.sign(bar - k)
+    if tie_sign != 0.0:
+        s = np.where(bar == k, tie_sign, s)
+    return (np.abs(after - k) - np.abs(before - k) + dtdx * g
+            - s * rec.dt * gsrc)
+
+
 def sequential_supremum(rec, tie_sign: float = 0.0):
     """Reference for entropy_residual_max: one k row at a time.
 
@@ -214,20 +229,7 @@ def sequential_supremum(rec, tie_sign: float = 0.0):
     bar = rec.field_bar.values
     after = rec.field_after.values
     n = bar.size
-    dtdx = rec.dt / rec.field_before.grid.dx
     ext = np.concatenate([[rec.ghost_left], bar, [rec.ghost_right]])
-    gsrc = np.asarray(rec.src.eval(rec.field_before.grid.cell_centers,
-                                   rec.t_before, bar), dtype=float)
-
-    def residual(k):
-        g = (numerical_entropy_flux(fluxdesc, ext[1:-1], ext[2:], k)
-             - numerical_entropy_flux(fluxdesc, ext[:-2], ext[1:-1], k))
-        s = np.sign(bar - k)
-        if tie_sign != 0.0:
-            s = np.where(bar == k, tie_sign, s)
-        return (np.abs(after - k) - np.abs(before - k) + dtdx * g
-                - s * rec.dt * gsrc)
-
     local = np.stack([before, after, ext[:-2], bar, ext[2:]])
     lo = local.min(axis=0)
     hi = local.max(axis=0)
@@ -243,7 +245,7 @@ def sequential_supremum(rec, tie_sign: float = 0.0):
         best_r[better] = r[better]
         best_k[better] = k[better]
 
-    r_rows = [residual(k) for k in k_rows]
+    r_rows = [cell_residuals(rec, k, tie_sign) for k in k_rows]
     for k, r in zip(k_rows, r_rows):
         consider(k, r)
     for i in range(len(k_rows) - 1):
@@ -253,14 +255,14 @@ def sequential_supremum(rec, tie_sign: float = 0.0):
         if not np.any(live):
             continue
         km = k1 + half
-        rm = residual(km)
+        rm = cell_residuals(rec, km, tie_sign)
         consider(km, rm)
         arch = r_rows[i] - 2.0 * rm + r_rows[i + 1]
         shift = np.zeros(n)
         np.divide(-half * (r_rows[i + 1] - r_rows[i]), 2.0 * arch, out=shift,
                   where=live & (arch < 0.0))
         kv = km + np.clip(shift, -half, half)
-        consider(kv, residual(kv))
+        consider(kv, cell_residuals(rec, kv, tie_sign))
     j = int(np.argmax(best_r))
     return float(best_r[j]), j, float(best_k[j])
 
@@ -360,11 +362,10 @@ def assert_dominates_dense_sweep(rec):
         rec.field_after.values, [rec.ghost_left, rec.ghost_right],
     ])
     k = np.linspace(data.min() - 1.0, data.max() + 1.0, 2001)
-    dense = entropy_residual(rec, rec.fluxdesc, rec.src,
-                             EntropyProbe(k_values=k, tolerance=1e-10))
+    dense = float(np.max(cell_residuals(rec, k[:, None])))
     exact = entropy_residual_max(rec, rec.fluxdesc, rec.src)
-    assert exact.max_residual >= dense.max_residual - 1e-12, (
-        rec.t_before, exact.max_residual, dense.max_residual)
+    assert exact.max_residual >= dense - 1e-12, (
+        rec.t_before, exact.max_residual, dense)
     return exact
 
 
@@ -379,11 +380,10 @@ class TestExpansionShock:
         assert res.max_residual == pytest.approx(0.25, rel=1e-12)
         assert res.k_value == 0.0
         assert not res.passed
-        # The violation lives strictly between the state values, so a probe
-        # only sees it when its k set reaches inside the jump.
-        probe = EntropyProbe(k_values=np.array([0.0]), tolerance=1e-10)
-        inside = entropy_residual(rec, rec.fluxdesc, rec.src, probe)
-        assert inside.max_residual == pytest.approx(0.25, rel=1e-12)
+        # The violation lives strictly between the state values, so a
+        # sampled k set only sees it when it reaches inside the jump.
+        inside = float(np.max(cell_residuals(rec, 0.0)))
+        assert inside == pytest.approx(0.25, rel=1e-12)
 
     def test_godunov_breaks_the_expansion_shock(self):
         rec = expansion_shock_record(godunov(burgers_flux()))
@@ -394,25 +394,16 @@ class TestExpansionShock:
 
 
 class TestEntropyObserver:
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            EntropyObserver(method="monte-carlo")
-
     def test_observes_every_step_of_a_fixed_flux_run(self):
-        obs = EntropyObserver(method="exact")
+        obs = EntropyObserver()
         report = burgers_shock_run(observers=[obs])
         assert len(obs.results) == report.n_steps
         assert obs.passed
         assert obs.worst.max_residual <= obs.worst.tolerance
 
-    def test_probe_method_agrees_on_a_clean_run(self):
-        obs = EntropyObserver(method="probe")
-        burgers_shock_run(observers=[obs])
-        assert obs.passed
-
     def test_follows_the_per_step_flux_of_a_factory_run(self):
         scenario = preset_scenario("testcase1")
-        obs = EntropyObserver(method="exact")
+        obs = EntropyObserver()
         run_factory(scenario.model, scenario.initial_density,
                     t_final=1.0, time_axis=TimeAxis(1.0, dt_max=0.05),
                     grid=build_grid(0.0, 1.0, 40), observers=[obs])
