@@ -32,10 +32,6 @@ class Grid1D:
     def cell_centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
-    @property
-    def cell_edges(self) -> np.ndarray:
-        return self.x_min + np.arange(self.n_cells + 1) * self.dx
-
 
 def build_grid(x_min: float, x_max: float, n_cells: int) -> Grid1D:
     """Construct a uniform grid, validating the interval and cell count."""
@@ -82,10 +78,6 @@ class CellField:
         # The class is frozen: fill the instance dict, as __init__ would.
         field.__dict__.update(grid=grid, values=values, time=time)
         return field
-
-    def with_values(self, values: np.ndarray, time: float | None = None) -> CellField:
-        """New field on the same grid with replaced values (and optionally time)."""
-        return CellField(self.grid, values, self.time if time is None else time)
 
 
 @dataclass(frozen=True)

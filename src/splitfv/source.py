@@ -54,17 +54,14 @@ class SourceDescriptor:
         if not np.isfinite(self.sup_at_zero) or self.sup_at_zero < 0:
             raise ValueError(f"sup_at_zero must be >= 0, got {self.sup_at_zero}")
         if self.growth_const is None:
-            object.__setattr__(self, "growth_const", growth_constant_estimate(self))
+            # L_g = max(L, sup|g(.,.,0)|), so that |g| <= L_g (1 + |u|).
+            object.__setattr__(self, "growth_const",
+                               max(self.lipschitz_u, self.sup_at_zero))
         elif not np.isfinite(self.growth_const) or self.growth_const < 0:
             raise ValueError(f"growth_const must be >= 0, got {self.growth_const}")
 
     def eval(self, x, t, u):
         return self.func(x, t, u)
-
-
-def growth_constant_estimate(src: SourceDescriptor) -> float:
-    """L_g = max(L, sup|g(.,.,0)|), so that |g| <= L_g (1 + |u|)."""
-    return max(src.lipschitz_u, src.sup_at_zero)
 
 
 def zero_source() -> SourceDescriptor:

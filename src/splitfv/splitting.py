@@ -29,12 +29,14 @@ from .mesh import CellField, Grid1D, TimeAxis, linf_norm, total_variation
 from .source import SourceDescriptor, implicit_source_step
 
 JAM_VELOCITY_FLOOR = 1e-10
-_CFL_SLACK = 1e-9
-# Relative distance the drivers keep dt below a hard step limit (the CFL
-# limit of the transport stage, the contraction limit of the source stage).
-# An upwind update whose Courant number reaches 1 by rounding turns an empty
-# cell negative, and the line model's source solve can put the actual speed
-# slightly above the bound its dt was sized for.
+# Relative margin around a hard step limit, used two ways. The drivers keep
+# dt this far below the limit (the CFL limit of the transport stage, the
+# contraction limit of the source stage): an upwind update whose Courant
+# number reaches 1 by rounding turns an empty cell negative, and the line
+# model's source solve can put the actual speed slightly above the bound its
+# dt was sized for. transport_stage refuses a step only when its Courant
+# number exceeds 1 by more than this, so a dt sized at the limit by rounding
+# still runs.
 _CFL_MARGIN = 1e-9
 
 
@@ -173,7 +175,7 @@ def transport_stage(field_bar: CellField, dt: float,
     ghost_left, ghost_right = fill_ghosts(field_bar, bc, t, velocity_hint)
     ext = np.concatenate(([ghost_left], values, [ghost_right]))
     L = flux_lipschitz(fluxdesc, float(ext.min()), float(ext.max()))
-    if dt * L / dx > 1.0 + _CFL_SLACK:
+    if dt * L / dx > 1.0 + _CFL_MARGIN:
         raise CFLViolationError(
             f"dt={dt} exceeds the hard CFL limit {dx / L if L > 0 else np.inf} "
             f"(flux Lipschitz constant {L} over the stencil range)"

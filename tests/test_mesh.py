@@ -26,13 +26,11 @@ class TestGrid1D:
     def test_spacing_and_centers(self, unit_grid):
         assert unit_grid.dx == pytest.approx(0.25)
         assert_allclose(unit_grid.cell_centers, [0.125, 0.375, 0.625, 0.875])
-        assert_allclose(unit_grid.cell_edges, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_general_interval(self):
         grid = build_grid(-2.0, 3.0, 10)
         assert grid.dx == pytest.approx(0.5)
         assert grid.cell_centers[0] == pytest.approx(-1.75)
-        assert grid.cell_edges[-1] == pytest.approx(3.0)
 
     @pytest.mark.parametrize("x_min,x_max,n_cells", [
         (0.0, 1.0, 1),
@@ -63,15 +61,6 @@ class TestCellField:
     def test_rejects_non_finite(self, unit_grid):
         with pytest.raises(ValueError):
             CellField(unit_grid, np.array([1.0, np.nan, 0.0, 0.0]))
-
-    def test_with_values_keeps_grid_and_time(self, unit_grid):
-        field = CellField(unit_grid, np.ones(4), time=2.5)
-        other = field.with_values(np.full(4, 7.0))
-        assert other.grid is unit_grid
-        assert other.time == 2.5
-        assert_allclose(other.values, 7.0)
-        moved = field.with_values(np.ones(4), time=3.0)
-        assert moved.time == 3.0
 
 
 class TestTimeAxis:
