@@ -11,9 +11,9 @@ G(a, b; k) = F(max(a,k), max(b,k)) - F(min(a,k), min(b,k)). As a function of
 k the residual has constant tails outside a cell's data, kinks at the values
 entering its inequality and at critical points of the physical flux, and is
 smooth in between with the flux's own shape (linear pieces for a linear
-flux, quadratic for a quadratic one). entropy_residual_max, the one entropy
-check, takes the supremum over k by evaluating every piece at its
-endpoints, midpoint and fitted parabola vertex, which is exhaustive for
+flux, quadratic for a quadratic one). entropy_residual_max, the package's
+only entropy check, takes the supremum over k by evaluating every piece at
+its endpoints, midpoint and fitted parabola vertex, which is exhaustive for
 linear and quadratic fluxes.
 
 Stability: the split scheme keeps the sup norm and the total variation

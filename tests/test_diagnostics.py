@@ -198,8 +198,9 @@ def cell_residuals(rec, k, tie_sign: float = 0.0):
     """Entropy residual of every cell of a step at the constant(s) k.
 
     k is a scalar, one value per cell, or an (m, 1) column of constants,
-    which gives an (m, n) array. Written out from the inequality, with no
-    call into the diagnostics module, so it serves as an independent oracle.
+    which gives an (m, n) array. Written out from the inequality, apart from
+    the batched residual inside entropy_residual_max, so it can serve as an
+    oracle for that function.
     """
     before = rec.field_before.values
     bar = rec.field_bar.values
