@@ -283,6 +283,9 @@ def build_setup(cfg: dict[str, str]) -> SimulationSetup:
         raise ConfigError(str(exc)) from None
     if n_cells < 2:
         raise ConfigError(f"n_cells must be >= 2, got {n_cells}")
+    seed = _get_int(cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"key 'seed': expected a non-negative integer, got {seed}")
     snapshot_times = _get_float_list(cfg, "snapshot_times", [t_final])
     names: dict[str, float] = {}
     for t in snapshot_times:
@@ -305,7 +308,7 @@ def build_setup(cfg: dict[str, str]) -> SimulationSetup:
         time_axis=axis,
         snapshot_times=snapshot_times,
         output_dir=Path(cfg.get("output_dir", "out")),
-        seed=_get_int(cfg, "seed", 0),
+        seed=seed,
         notes=notes,
     )
 
@@ -321,10 +324,20 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """Write rows of numbers, or of strings, which pass through as they are.
+
+    Every row is formatted with one template taken from the first row's
+    cells, as _fmt would format them: "%s" for a string, "%.17g" otherwise.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        template = None
         for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+            if template is None:
+                template = ",".join(
+                    "%s" if isinstance(cell, str) else "%.17g" for cell in row
+                ) + "\n"
+            fh.write(template % tuple(row))
 
 
 def _write_timeseries(path: Path, report: RunReport) -> int:

@@ -14,7 +14,8 @@ smooth in between with the flux's own shape (linear pieces for a linear
 flux, quadratic for a quadratic one). entropy_residual_max, the package's
 only entropy check, takes the supremum over k by evaluating every piece at
 its endpoints, midpoint and fitted parabola vertex, which is exhaustive for
-linear and quadratic fluxes.
+linear and quadratic fluxes. For a flux declared linear (PhysicalFlux.linear)
+the endpoints alone are searched: a linear piece peaks at one of them.
 
 Stability: the split scheme keeps the sup norm and the total variation
 under exponential-in-time envelopes whose rate is
@@ -137,6 +138,14 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     positive width adds no candidate. Candidates are ranked in the order
     rows, midpoint 0, vertex 0, midpoint 1, vertex 1, ..., and the first
     maximum wins, in each cell and then across cells.
+
+    For a flux declared linear only the kink rows are evaluated, one
+    eval_flux call. Every piece is then linear in k, so its midpoint and
+    vertex lie between its endpoint values; as rows rank first, they could
+    change the result only by rounding above both ends. The exception is
+    the source term's sign, which jumps at k = ubar_j: the row there takes
+    the tie_sign value, and a one-sided limit above it is reached by
+    neither search, only approached by the midpoints.
     """
     if tolerance is None:
         tolerance = _step_tolerance(rec)
@@ -158,6 +167,8 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
         rows.append(np.full((1, n), c))
     k_rows = np.sort(np.vstack(rows), axis=0)
     r_rows = _residual_rows(rec, fluxdesc, k_rows, tie_sign, gsrc)
+    if fluxdesc.physical.linear:
+        return _worst_candidate(r_rows, k_rows, tolerance, rec.t_before)
 
     k1, k2 = k_rows[:-1], k_rows[1:]
     r1, r2 = r_rows[:-1], r_rows[1:]
@@ -178,6 +189,12 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
 
     cand_r = np.concatenate([r_rows, np.stack([rm, rv], axis=1).reshape(-1, n)])
     cand_k = np.concatenate([k_rows, np.stack([km, kv], axis=1).reshape(-1, n)])
+    return _worst_candidate(cand_r, cand_k, tolerance, rec.t_before)
+
+
+def _worst_candidate(cand_r: np.ndarray, cand_k: np.ndarray, tolerance: float,
+                     t_before: float) -> EntropyCheckResult:
+    """The first maximum of each cell's column, then the first across cells."""
     pick = np.argmax(cand_r, axis=0)[None, :]
     best_r = np.take_along_axis(cand_r, pick, axis=0)[0]
     best_k = np.take_along_axis(cand_k, pick, axis=0)[0]
@@ -187,7 +204,7 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
         tolerance=tolerance,
         cell_index=worst_cell,
         k_value=float(best_k[worst_cell]),
-        t_before=rec.t_before,
+        t_before=t_before,
     )
 
 

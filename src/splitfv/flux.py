@@ -24,6 +24,12 @@ critical points; every shipped flux (linear, Burgers, zero) does, and for
 them no search runs. Other fluxes are searched by a slope scan and
 bisection on every Godunov or Engquist-Osher call.
 
+A physical flux may also declare itself linear, f(u) = f(1) * u, as
+linear_flux and zero_flux do. upwind-linear accepts only such a flux, and
+the entropy check (diagnostics.entropy_residual_max) reads the declaration
+to search k at the kinks of the residual alone. An undeclared flux is
+never treated as linear, whatever its shape.
+
 The viscosity alpha of lax-friedrichs must reach sup|f'| over the working
 range for monotonicity; smaller values are accepted by the constructor so
 that the monotonicity checker has something to fail on.
@@ -56,12 +62,16 @@ class PhysicalFlux:
             absent the bound is estimated by dense sampling of the slope.
         critical: the sorted zeros of f' if known; they are searched for
             on every call of `critical_points` otherwise.
+        linear: declares f(u) = f(1) * u. Nothing checks the declaration;
+            a false one makes upwind-linear inconsistent and lets the
+            entropy check miss a maximum inside a piece.
     """
 
     func: Callable
     deriv: Callable | None = None
     lipschitz_on: Callable | None = None
     critical: tuple[float, ...] | None = None
+    linear: bool = False
 
     def eval(self, u):
         out = self.func(np.asarray(u, dtype=float))
@@ -93,7 +103,7 @@ class PhysicalFlux:
 
 
 def linear_flux(speed: float) -> PhysicalFlux:
-    """f(u) = speed * u; declares no critical points.
+    """f(u) = speed * u; declared linear, with no critical points.
 
     At speed 0 the slope vanishes everywhere, but f is constant, so no
     point is needed to bound it: the extrema of f over any interval are
@@ -105,6 +115,7 @@ def linear_flux(speed: float) -> PhysicalFlux:
         deriv=lambda u: c * np.ones_like(np.asarray(u, dtype=float)),
         lipschitz_on=lambda lo, hi: abs(c),
         critical=(),
+        linear=True,
     )
 
 
@@ -119,12 +130,13 @@ def burgers_flux() -> PhysicalFlux:
 
 
 def zero_flux() -> PhysicalFlux:
-    """f identically zero (pure source problems)."""
+    """f identically zero (pure source problems); declared linear."""
     return PhysicalFlux(
         func=lambda u: 0.0 * np.asarray(u, dtype=float),
         deriv=lambda u: 0.0 * np.asarray(u, dtype=float),
         lipschitz_on=lambda lo, hi: 0.0,
         critical=(),
+        linear=True,
     )
 
 
@@ -148,12 +160,14 @@ class NumericalFluxDescriptor:
 
 
 def upwind_linear(physical: PhysicalFlux) -> NumericalFluxDescriptor:
-    """Upwind flux F(a, b) = f(a); requires linear f with nonnegative speed."""
-    f0 = physical.eval(0.0)
-    c = physical.eval(1.0) - f0
-    scale = max(1.0, abs(c))
-    if abs(f0) > 1e-12 * scale or abs(physical.eval(2.0) - 2.0 * c - f0) > 1e-12 * scale:
-        raise ValueError("upwind-linear requires a linear flux f(u) = c*u")
+    """Upwind flux F(a, b) = f(a); requires a flux declared linear, with
+    nonnegative speed f(1)."""
+    if not physical.linear:
+        raise ValueError(
+            "upwind-linear requires a flux declared linear "
+            "(PhysicalFlux(..., linear=True), f(u) = c*u)"
+        )
+    c = physical.eval(1.0)
     if c < 0:
         raise ValueError(f"upwind-linear requires speed >= 0, got {c}")
     return NumericalFluxDescriptor("upwind-linear", physical)

@@ -174,6 +174,11 @@ class TestBuildSetup:
             build_setup({"t_final": "1.0",
                          "snapshot_times": "0.5, 0.5000000000001"})
 
+    @pytest.mark.parametrize("value", ["-1", "-2147483648"])
+    def test_negative_seed_is_refused(self, value):
+        with pytest.raises(ConfigError, match="'seed'.*non-negative"):
+            build_setup({"seed": value})
+
     def test_duplicate_snapshot_times_are_kept_once(self):
         setup = build_setup({"t_final": "1.0", "snapshot_times": "0.5, 0.5"})
         assert setup.snapshot_times == [0.5, 0.5]
@@ -354,6 +359,18 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert "config error" in err
         assert key in err
+        assert not out.exists()
+
+    def test_negative_seed_is_refused_before_the_run(self, tmp_path, capsys):
+        # The seed reaches numpy only after the run; a negative one used to
+        # get that far and then exit 1 without naming the key.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "mode = verify\npreset = testcase1\n"
+                                     f"seed = -1\noutput_dir = {out}\n")
+        assert main([str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "'seed'" in err
         assert not out.exists()
 
     def test_duplicate_snapshot_time_writes_one_file(self, tmp_path):

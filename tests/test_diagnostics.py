@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,9 +19,11 @@ from splitfv import (
     burgers_flux,
     check_linf_bound,
     check_tv_bound,
+    engquist_osher,
     entropy_residual_max,
     godunov,
     lax_friedrichs,
+    linear_flux,
     make_step_record,
     numerical_entropy_flux,
     preset_scenario,
@@ -28,11 +32,12 @@ from splitfv import (
     run_factory,
     time_bv_report,
     transport_stage,
+    upwind_linear,
     zero_flux,
     zero_source,
 )
 import splitfv.diagnostics
-from splitfv.flux import critical_points, eval_flux
+from splitfv.flux import critical_points, eval_flux, flux_lipschitz
 
 
 def burgers_shock_run(n_cells: int = 48, t_final: float = 0.35,
@@ -183,15 +188,20 @@ def burgers_shock_records():
     return records
 
 
+def line_records(preset: str, flux_kind: str):
+    """Steps of a preset line (linear flux) on 40 cells to t = 1."""
+    scenario = preset_scenario(preset)
+    records = []
+    run_factory(scenario.model, scenario.initial_density, t_final=1.0,
+                time_axis=TimeAxis(1.0, dt_max=0.05), flux_kind=flux_kind,
+                grid=build_grid(0.0, 1.0, 40), observers=[records.append])
+    return records
+
+
 @pytest.fixture(scope="module")
 def testcase2_records():
     """Steps of the testcase2 line (linear flux) under Godunov transport."""
-    scenario = preset_scenario("testcase2")
-    records = []
-    run_factory(scenario.model, scenario.initial_density, t_final=1.0,
-                time_axis=TimeAxis(1.0, dt_max=0.05), flux_kind="godunov",
-                grid=build_grid(0.0, 1.0, 40), observers=[records.append])
-    return records
+    return line_records("testcase2", "godunov")
 
 
 def cell_residuals(rec, k, tie_sign: float = 0.0):
@@ -300,23 +310,78 @@ class TestBatchedSupremum:
     @pytest.mark.parametrize("case", ["linear", "burgers"])
     def test_one_check_makes_three_flux_calls(self, case, testcase2_records,
                                               monkeypatch):
-        # The Burgers jump from -1 to 1 straddles the critical point 0,
-        # which adds an eighth k row; the call count is three either way.
+        # A flux declared linear is searched at its kink rows only, in one
+        # call. Burgers adds the midpoint and vertex batches; its jump from
+        # -1 to 1 straddles the critical point 0, which adds an eighth k row.
+        n = testcase2_records[5].field_bar.values.size
         if case == "linear":
-            rec, rows = testcase2_records[5], 7
+            rec = testcase2_records[5]
+            expected = [(2, 2, 7, n)]
         else:
-            rec, rows = expansion_shock_record(godunov(burgers_flux())), 8
-        shapes = []
+            rec = expansion_shock_record(godunov(burgers_flux()))
+            expected = [(2, 2, 8, 10), (2, 2, 7, 10), (2, 2, 7, 10)]
+        shapes, _ = flux_call_shapes(monkeypatch, rec, rec.fluxdesc)
+        assert shapes == expected
 
-        def counting(fluxdesc, a, b):
-            shapes.append(np.shape(a))
-            return eval_flux(fluxdesc, a, b)
-
-        monkeypatch.setattr(splitfv.diagnostics, "eval_flux", counting)
-        entropy_residual_max(rec, rec.fluxdesc, rec.src)
+    def test_undeclared_linear_flux_keeps_the_three_batch_search(
+            self, testcase2_records, monkeypatch):
+        rec = testcase2_records[5]
+        undeclared = dataclasses.replace(
+            rec.fluxdesc,
+            physical=dataclasses.replace(rec.fluxdesc.physical, linear=False),
+        )
+        shapes, res = flux_call_shapes(monkeypatch, rec, undeclared)
         n = rec.field_bar.values.size
-        assert shapes == [(2, 2, rows, n), (2, 2, rows - 1, n),
-                          (2, 2, rows - 1, n)]
+        assert shapes == [(2, 2, 7, n), (2, 2, 6, n), (2, 2, 6, n)]
+        assert res == entropy_residual_max(rec, rec.fluxdesc, rec.src)
+
+    @pytest.mark.parametrize("tie_sign", [0.0, 1.0, -1.0])
+    @pytest.mark.parametrize("flux_kind", ["upwind-linear", "godunov"])
+    @pytest.mark.parametrize("preset", ["testcase1", "testcase2"])
+    def test_line_steps_equal_the_sequential_search(self, preset, flux_kind,
+                                                    tie_sign):
+        # On every step of the line model the rows-only search returns the
+        # sequential search's answer bit for bit: no midpoint or vertex
+        # rounds above the rows. The CLI's outputs rest on this.
+        records = line_records(preset, flux_kind)
+        assert records and records[0].fluxdesc.physical.linear
+        for rec in records:
+            res = entropy_residual_max(rec, rec.fluxdesc, rec.src,
+                                       tie_sign=tie_sign)
+            assert (res.max_residual, res.cell_index, res.k_value) \
+                == sequential_supremum(rec, tie_sign), rec.t_before
+
+    @pytest.mark.parametrize("tie_sign", [0.0, 1.0, -1.0])
+    @pytest.mark.parametrize("fluxdesc", [
+        upwind_linear(linear_flux(0.72)),
+        godunov(linear_flux(0.72)),
+        lax_friedrichs(linear_flux(0.72), viscosity=0.72),
+        lax_friedrichs(linear_flux(0.72), viscosity=1.0),
+        engquist_osher(linear_flux(0.72)),
+        godunov(linear_flux(-0.5)),
+        engquist_osher(linear_flux(-0.5)),
+        godunov(zero_flux()),
+    ], ids=["upwind", "godunov", "lax-friedrichs-0.72", "lax-friedrichs-1",
+            "engquist-osher", "godunov-backward", "engquist-osher-backward",
+            "godunov-zero"])
+    def test_linear_flux_steps_are_within_rounding_of_the_sequential_search(
+            self, fluxdesc, tie_sign):
+        # On the decaying step a midpoint does round above its piece's ends
+        # (by about 0.1 ulp of the residual's terms), so the answers can
+        # differ in the last bits and in the cell and k they name. The rows
+        # are a subset of the sequential candidates, so the rows-only
+        # maximum can never be the larger one.
+        records = []
+        burgers_shock_run(observers=[records.append], fluxdesc=fluxdesc)
+        assert records and fluxdesc.physical.linear
+        for rec in records:
+            res = entropy_residual_max(rec, rec.fluxdesc, rec.src,
+                                       tie_sign=tie_sign)
+            max_residual, _, _ = sequential_supremum(rec, tie_sign)
+            assert res.max_residual <= max_residual, rec.t_before
+            assert max_residual - res.max_residual <= rounding_gap(rec), \
+                rec.t_before
+            assert res.passed == (max_residual <= res.tolerance)
 
     @pytest.mark.parametrize("fluxdesc", [
         godunov(burgers_flux()),
@@ -350,6 +415,45 @@ class TestBatchedSupremum:
         exact = assert_dominates_dense_sweep(rec)
         assert exact.max_residual > 0.4
         assert not exact.passed
+
+
+def flux_call_shapes(monkeypatch, rec, fluxdesc):
+    """Shapes of the eval_flux calls one entropy check makes, and its result."""
+    shapes = []
+
+    def counting(desc, a, b):
+        shapes.append(np.shape(a))
+        return eval_flux(desc, a, b)
+
+    monkeypatch.setattr(splitfv.diagnostics, "eval_flux", counting)
+    res = entropy_residual_max(rec, fluxdesc, rec.src)
+    monkeypatch.undo()
+    return shapes, res
+
+
+def rounding_gap(rec):
+    """How far rounding can lift one residual of a step above another that
+    is at least as large in exact arithmetic.
+
+    Each residual is a sum of four terms, none larger than T, the sum of
+    their bounds: 2 S for each |u - k| with S = max |u| + 1 (k lies within
+    the data range +-1), 8 (dt/dx) L S for the difference of two entropy
+    fluxes |G(a, b; k)| <= L (|a - k| + |b - k|), and dt max |g| for the
+    source. Each is computed to within a few ulps of T, and two sums are
+    compared, so the bound is 16 ulps of T.
+    """
+    data = np.concatenate([
+        rec.field_before.values, rec.field_bar.values,
+        rec.field_after.values, [rec.ghost_left, rec.ghost_right],
+    ])
+    size = float(np.max(np.abs(data))) + 1.0
+    lipschitz = flux_lipschitz(rec.fluxdesc, -size, size)
+    gsrc = rec.src.eval(rec.field_before.grid.cell_centers, rec.t_before,
+                        rec.field_bar.values)
+    terms = (4.0 * size
+             + 8.0 * rec.dt / rec.field_before.grid.dx * lipschitz * size
+             + rec.dt * float(np.max(np.abs(gsrc))))
+    return 16.0 * np.finfo(float).eps * terms
 
 
 def assert_dominates_dense_sweep(rec):

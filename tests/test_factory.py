@@ -214,9 +214,10 @@ class TestTransportDescriptor:
         assert desc.kind == kind
         assert desc.physical.eval(2.0) == 0.7 * 2.0
         assert desc.physical.critical == ()
+        assert desc.physical.linear
 
     def test_negative_upwind_speed_is_refused_as_before(self):
-        # The same refusal as upwind_linear's, without its linearity probe.
+        # The same refusal as upwind_linear's, without its declaration check.
         with pytest.raises(ValueError) as expected:
             upwind_linear(linear_flux(-0.5))
         with pytest.raises(ValueError) as got:

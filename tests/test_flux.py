@@ -70,6 +70,18 @@ class TestPhysicalFlux:
         phys = PhysicalFlux(func=lambda u: np.sin(u))
         assert phys.slope(0.3) == pytest.approx(np.cos(0.3), abs=1e-6)
 
+    @pytest.mark.parametrize("make_phys", [
+        lambda: linear_flux(0.0), lambda: linear_flux(0.72),
+        lambda: linear_flux(-0.5), zero_flux,
+    ], ids=["linear-0", "linear-0.72", "linear--0.5", "zero"])
+    def test_linear_fluxes_declare_linear(self, make_phys):
+        assert make_phys().linear is True
+
+    @pytest.mark.parametrize("make_phys", [burgers_flux, cubic_flux],
+                             ids=["burgers", "cubic"])
+    def test_nonlinear_fluxes_do_not(self, make_phys):
+        assert make_phys().linear is False
+
     def test_bound_without_declared_lipschitz_samples_derivative(self):
         phys = cubic_flux()
         # sup |u^2 - 1| over [-2, 2] is 3 (at the endpoints).
@@ -93,6 +105,19 @@ class TestDescriptors:
     def test_upwind_linear_rejects_negative_speed(self):
         with pytest.raises(ValueError):
             upwind_linear(linear_flux(-0.5))
+
+    def test_upwind_linear_reads_the_declaration(self):
+        # A linear flux that does not declare itself is refused, without
+        # probing its values; declaring it is enough.
+        undeclared = PhysicalFlux(func=lambda u: 0.72 * u)
+        with pytest.raises(ValueError, match="declared linear"):
+            upwind_linear(undeclared)
+        desc = upwind_linear(dataclasses.replace(undeclared, linear=True))
+        assert eval_flux(desc, 2.0, 5.0) == pytest.approx(1.44)
+
+    def test_upwind_linear_accepts_zero_speed(self):
+        assert upwind_linear(zero_flux()).kind == "upwind-linear"
+        assert upwind_linear(linear_flux(0.0)).kind == "upwind-linear"
 
     def test_lax_friedrichs_rejects_negative_viscosity(self):
         with pytest.raises(ValueError):
