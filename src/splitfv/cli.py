@@ -514,8 +514,10 @@ _PROBLEMS = {
 
 
 def mode_converge(cfg: dict[str, str]) -> int:
+    # Each problem fixes its flux, grid family, horizon and step cap.
     _reject_keys(
-        cfg, MODEL_KEYS | {"preset", "snapshot_times", "flux", "dt_max"},
+        cfg, MODEL_KEYS | {"preset", "snapshot_times", "flux", "dt_max",
+                           "n_cells", "t_final"},
         "converge configs take only refinement keys",
     )
     problem_name = _get_choice(cfg, "problem", tuple(sorted(_PROBLEMS)),
@@ -527,6 +529,8 @@ def mode_converge(cfg: dict[str, str]) -> int:
         raise ConfigError(f"levels must be >= 2, got {levels}")
     if base_cells < 2:
         raise ConfigError(f"base_cells must be >= 2, got {base_cells}")
+    if not 0.0 < cfl <= 1.0:
+        raise ConfigError(f"cfl_number must be in (0, 1], got {cfl}")
     output_dir = Path(cfg.get("output_dir", "out"))
     output_dir.mkdir(parents=True, exist_ok=True)
 

@@ -351,8 +351,9 @@ def check_tv_bound(report: RunReport, cfg: BoundCheckConfig) -> BoundCheckResult
     gr = np.asarray(report.ghost_right)
     tv0 = report.tv[0]
     if report.n_steps > 0:
-        tv0_ext = (abs(report.first_cell[0] - gl[0]) + tv0
-                   + abs(report.last_cell[0] - gr[0]))
+        u0 = report.initial.values
+        tv0_ext = (abs(float(u0[0]) - gl[0]) + tv0
+                   + abs(float(u0[-1]) - gr[0]))
         gtv = np.zeros(len(times))
         gtv[2:] = np.cumsum(np.abs(np.diff(gl)) + np.abs(np.diff(gr)))
         gtv[1] = 0.0

@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .flux import NumericalFluxDescriptor, godunov, linear_flux
-from .mesh import CellField, Grid1D, TimeAxis, build_grid
-from .source import SourceDescriptor, zero_source
+from .mesh import CellField, Grid1D, TimeAxis
+from .source import SourceDescriptor
 from .splitting import (
     _CFL_MARGIN,
     JAM_VELOCITY_FLOOR,
@@ -34,6 +34,7 @@ from .splitting import (
     JammedLineError,
     RunReport,
     StepRecord,
+    _source_dt_limit,
     march,
 )
 
@@ -321,9 +322,8 @@ def run_factory(model: FactoryModel, initial: CellField | float,
                 f"speed={speed}, capacity={model.max_load}"
             )
 
-    c_max = model.yield_loss.max_rate()
-    # c_max is the sink's lipschitz_u; the source stage needs c_max * dt < 1.
-    dt_sink = (1.0 - _CFL_MARGIN) / c_max if c_max > 0.0 else math.inf
+    c_max = src.lipschitz_u
+    dt_sink = _source_dt_limit(src)
 
     def pick_dt(field: CellField, report: RunReport) -> float:
         # The recorded channels already hold this field's load and speed.
@@ -338,35 +338,29 @@ def run_factory(model: FactoryModel, initial: CellField | float,
         v_bar = velocity(w / (1.0 + dt * c_max), model)
         return min(dt, (1.0 - _CFL_MARGIN) * dx / v_bar)
 
-    def flux_for(bar: CellField) -> tuple[NumericalFluxDescriptor, float]:
+    def flux_for(bar: CellField) -> NumericalFluxDescriptor:
+        # The influx ghost is rate / f(1), and linear_flux(v) has f(1) = v.
         w_bar = wip(bar)
         v = velocity(w_bar, model)
         jam_check(w_bar, v, bar.time, "post-source load")
-        return transport_descriptor(v, flux_kind), v
+        return transport_descriptor(v, flux_kind)
 
-    def append_channels(field: CellField, report: RunReport) -> None:
+    def channels(field: CellField) -> dict[str, float]:
         w = wip(field)
         v = velocity(w, model)
-        report.channels["wip"].append(w)
-        report.channels["velocity"].append(v)
-        report.channels["influx"].append(float(model.influx(field.time)))
-        report.channels["outflux"].append(outflux(field, v))
-
-    def on_start(field: CellField, report: RunReport) -> None:
-        for name in ("wip", "velocity", "influx", "outflux"):
-            report.channels[name] = []
-        append_channels(field, report)
-
-    def on_step(rec: StepRecord, report: RunReport) -> None:
-        append_channels(rec.field_after, report)
+        return {
+            "wip": w,
+            "velocity": v,
+            "influx": float(model.influx(field.time)),
+            "outflux": outflux(field, v),
+        }
 
     return march(
         field0, t_final, pick_dt, src, bc, flux_for,
         observers=observers,
         checkpoint_times=checkpoint_times,
         keep_snapshots=keep_snapshots,
-        on_start=on_start,
-        on_step=on_step,
+        channels=channels,
     )
 
 

@@ -18,9 +18,13 @@ diagnostics rely on:
   lipschitz_u   L with |g(x,t,u1) - g(x,t,u2)| <= L|u1 - u2|
   sup_at_zero   bound on sup over (x,t) of |g(x, t, 0)|
   tv_bound      B(t) bounding the spatial total variation of g(., t, u)
-  growth_const  L_g with |g(x,t,u)| <= L_g (1 + |u|); defaults to
-                max(lipschitz_u, sup_at_zero)
   linear        g(x, t, u) = g(x, t, 1) * u; defaults to False
+
+and derives from them
+
+  growth_const  L_g = max(lipschitz_u, sup_at_zero), so that whenever the
+                first two declarations hold,
+                |g(x,t,u)| <= |g(x,t,0)| + L |u| <= L_g (1 + |u|)
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ class SourceDescriptor:
     lipschitz_u: float
     sup_at_zero: float
     tv_bound: Callable
-    growth_const: float | None = None
     linear: bool = False
 
     def __post_init__(self):
@@ -53,12 +56,11 @@ class SourceDescriptor:
             raise ValueError(f"lipschitz_u must be >= 0, got {self.lipschitz_u}")
         if not np.isfinite(self.sup_at_zero) or self.sup_at_zero < 0:
             raise ValueError(f"sup_at_zero must be >= 0, got {self.sup_at_zero}")
-        if self.growth_const is None:
-            # L_g = max(L, sup|g(.,.,0)|), so that |g| <= L_g (1 + |u|).
-            object.__setattr__(self, "growth_const",
-                               max(self.lipschitz_u, self.sup_at_zero))
-        elif not np.isfinite(self.growth_const) or self.growth_const < 0:
-            raise ValueError(f"growth_const must be >= 0, got {self.growth_const}")
+
+    @property
+    def growth_const(self) -> float:
+        """L_g with |g(x, t, u)| <= L_g (1 + |u|)."""
+        return max(self.lipschitz_u, self.sup_at_zero)
 
     def eval(self, x, t, u):
         return self.func(x, t, u)

@@ -11,9 +11,15 @@ with F a monotone two-point numerical flux. The transport stage refuses to
 run when dt exceeds the hard CFL limit dx / L for the Lipschitz constant L
 of the flux over the stencil range (ghosts included).
 
+The source stage is a contraction only while dt * lipschitz_u < 1 for the
+source's Lipschitz constant in u. Both `run` and the line model's
+`run_factory` keep dt a relative _CFL_MARGIN below that limit and below
+the hard CFL limit, and march every step through `split_step`.
+
 Boundaries: the left boundary is either a Dirichlet trace or an influx
-rate; an influx ghost is the rate divided by a caller-supplied transport
-velocity. The right boundary is outflow (zero-gradient copy) or Dirichlet.
+rate; an influx ghost is the rate divided by the speed f(1) of the step's
+physical flux, which must be declared linear (f(u) = f(1) u). The right
+boundary is outflow (zero-gradient copy) or Dirichlet.
 """
 
 from __future__ import annotations
@@ -24,7 +30,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .flux import NumericalFluxDescriptor, eval_flux, flux_lipschitz, max_dt
+from .flux import (
+    NumericalFluxDescriptor,
+    PhysicalFlux,
+    eval_flux,
+    flux_lipschitz,
+    max_dt,
+)
 from .mesh import CellField, Grid1D, TimeAxis, linf_norm, total_variation
 from .source import SourceDescriptor, implicit_source_step
 
@@ -38,6 +50,15 @@ JAM_VELOCITY_FLOOR = 1e-10
 # number exceeds 1 by more than this, so a dt sized at the limit by rounding
 # still runs.
 _CFL_MARGIN = 1e-9
+
+
+def _source_dt_limit(src: SourceDescriptor) -> float:
+    """Largest dt `run` and `run_factory` allow the source stage: a relative
+    _CFL_MARGIN under its contraction limit 1 / lipschitz_u (inf for
+    lipschitz_u = 0)."""
+    if src.lipschitz_u > 0.0:
+        return (1.0 - _CFL_MARGIN) / src.lipschitz_u
+    return math.inf
 
 
 class CFLViolationError(RuntimeError):
@@ -65,7 +86,7 @@ class BoundarySpec:
 
     Schedules are callables of time: a Dirichlet schedule yields the ghost
     density directly, an influx schedule yields the boundary flux rate that
-    is converted to a ghost density via the step's transport velocity.
+    is converted to a ghost density via the speed of the step's flux.
     """
 
     left_kind: str
@@ -95,19 +116,24 @@ class BoundarySpec:
 
 
 def fill_ghosts(field_bar: CellField, bc: BoundarySpec, t: float,
-                velocity_hint: float | None = None) -> tuple[float, float]:
-    """Ghost cell values flanking the post-source field at time t."""
+                flux: PhysicalFlux | None = None) -> tuple[float, float]:
+    """Ghost cell values flanking the post-source field at time t.
+
+    An influx ghost is the rate divided by the speed f(1) of `flux`, which
+    must be declared linear; any other flux is refused (ValueError).
+    """
     if bc.left_kind == "dirichlet":
         ghost_left = float(bc.left_schedule(t))
     else:
-        if velocity_hint is None:
-            raise ValueError("influx boundary requires a velocity hint")
-        if velocity_hint <= JAM_VELOCITY_FLOOR:
+        if flux is None or not flux.linear:
+            raise ValueError("an influx boundary needs a flux declared linear")
+        speed = flux.eval(1.0)
+        if speed <= JAM_VELOCITY_FLOOR:
             raise JammedLineError(
-                f"transport velocity {velocity_hint} at t={t} is at or below "
+                f"transport velocity {speed} at t={t} is at or below "
                 f"the jam floor {JAM_VELOCITY_FLOOR}"
             )
-        ghost_left = float(bc.left_schedule(t)) / velocity_hint
+        ghost_left = float(bc.left_schedule(t)) / speed
     if bc.right_kind == "outflow":
         ghost_right = float(field_bar.values[-1])
     else:
@@ -140,15 +166,8 @@ class StepRecord:
 
 
 # Per-step transport flux: maps the post-source field to the numerical flux
-# of the step and the velocity that turns an influx rate into a ghost
-# density (None when the left boundary is not an influx).
-FluxBuilder = Callable[[CellField], tuple[NumericalFluxDescriptor, float | None]]
-
-
-def _fixed_flux(fluxdesc: NumericalFluxDescriptor,
-                velocity_hint: float | None) -> FluxBuilder:
-    """Flux builder that returns the same descriptor on every step."""
-    return lambda field_bar: (fluxdesc, velocity_hint)
+# of the step.
+FluxBuilder = Callable[[CellField], NumericalFluxDescriptor]
 
 
 def source_stage(field: CellField, dt: float, src: SourceDescriptor,
@@ -163,8 +182,7 @@ def source_stage(field: CellField, dt: float, src: SourceDescriptor,
 
 
 def transport_stage(field_bar: CellField, dt: float,
-                    fluxdesc: NumericalFluxDescriptor, bc: BoundarySpec,
-                    velocity_hint: float | None = None):
+                    fluxdesc: NumericalFluxDescriptor, bc: BoundarySpec):
     """Explicit conservative update of the post-source field.
 
     Returns (field_after, ghost_left, ghost_right, flux_left, flux_right).
@@ -172,7 +190,7 @@ def transport_stage(field_bar: CellField, dt: float,
     t = field_bar.time
     dx = field_bar.grid.dx
     values = field_bar.values
-    ghost_left, ghost_right = fill_ghosts(field_bar, bc, t, velocity_hint)
+    ghost_left, ghost_right = fill_ghosts(field_bar, bc, t, fluxdesc.physical)
     ext = np.concatenate(([ghost_left], values, [ghost_right]))
     L = flux_lipschitz(fluxdesc, float(ext.min()), float(ext.max()))
     if dt * L / dx > 1.0 + _CFL_MARGIN:
@@ -234,9 +252,9 @@ def split_step(field: CellField, dt: float, src: SourceDescriptor,
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
     bar = source_stage(field, dt, src, x)
-    fluxdesc, velocity_hint = flux_for(bar)
+    fluxdesc = flux_for(bar)
     after, ghost_left, ghost_right, flux_left, flux_right = transport_stage(
-        bar, dt, fluxdesc, bc, velocity_hint
+        bar, dt, fluxdesc, bc
     )
     return make_step_record(
         field, bar, after, ghost_left, ghost_right, flux_left, flux_right,
@@ -245,10 +263,9 @@ def split_step(field: CellField, dt: float, src: SourceDescriptor,
 
 
 def step(field: CellField, dt: float, fluxdesc: NumericalFluxDescriptor,
-         src: SourceDescriptor, bc: BoundarySpec,
-         velocity_hint: float | None = None) -> StepRecord:
+         src: SourceDescriptor, bc: BoundarySpec) -> StepRecord:
     """One full split step with a fixed flux."""
-    return split_step(field, dt, src, bc, _fixed_flux(fluxdesc, velocity_hint),
+    return split_step(field, dt, src, bc, lambda bar: fluxdesc,
                       field.grid.cell_centers)
 
 
@@ -264,20 +281,19 @@ def _interior_tv(values: np.ndarray) -> float:
 class RunReport:
     """Per-step diagnostic record of a run.
 
-    Scalar series are aligned with `times` (one entry per accepted state,
-    initial state included); ghost and flux series have one entry per step.
-    `channels` holds model-specific observables added by the driver, each
-    aligned with `times`.
+    `initial` is the field the run started from. Scalar series are aligned
+    with `times` (one entry per accepted state, initial state included);
+    ghost and flux series have one entry per step. `channels` holds the
+    named values of the channels hook given to `march`, each series aligned
+    with `times`.
     """
 
-    grid: Grid1D
+    initial: CellField
     times: list = dataclass_field(default_factory=list)
     dts: list = dataclass_field(default_factory=list)
     linf: list = dataclass_field(default_factory=list)
     tv: list = dataclass_field(default_factory=list)
     tv_interior: list = dataclass_field(default_factory=list)
-    first_cell: list = dataclass_field(default_factory=list)
-    last_cell: list = dataclass_field(default_factory=list)
     ghost_left: list = dataclass_field(default_factory=list)
     ghost_right: list = dataclass_field(default_factory=list)
     flux_left: list = dataclass_field(default_factory=list)
@@ -290,7 +306,7 @@ class RunReport:
 
     @classmethod
     def start(cls, initial: CellField, keep_snapshots: bool = False) -> RunReport:
-        report = cls(grid=initial.grid)
+        report = cls(initial=initial)
         report._append_state(initial)
         if keep_snapshots:
             report.snapshots = [initial.values]
@@ -302,8 +318,10 @@ class RunReport:
         self.linf.append(linf_norm(field))
         self.tv.append(total_variation(field))
         self.tv_interior.append(_interior_tv(field.values))
-        self.first_cell.append(float(field.values[0]))
-        self.last_cell.append(float(field.values[-1]))
+
+    def _append_channels(self, values: dict[str, float]) -> None:
+        for name, value in values.items():
+            self.channels.setdefault(name, []).append(value)
 
     def record_step(self, rec: StepRecord) -> None:
         self._append_state(rec.field_after)
@@ -319,6 +337,10 @@ class RunReport:
         self.final_field = rec.field_after
 
     @property
+    def grid(self) -> Grid1D:
+        return self.initial.grid
+
+    @property
     def n_steps(self) -> int:
         return len(self.dts)
 
@@ -329,21 +351,22 @@ def march(initial: CellField, t_final: float,
           observers: Iterable[Callable[[StepRecord], None]] = (),
           checkpoint_times: Sequence[float] = (),
           keep_snapshots: bool = False,
-          on_start: Callable[[CellField, RunReport], None] | None = None,
-          on_step: Callable[[StepRecord, RunReport], None] | None = None) -> RunReport:
+          channels: Callable[[CellField], dict[str, float]] | None = None) -> RunReport:
     """Generic adaptive time loop shared by the plain and model-bound drivers.
 
     pick_dt proposes a stable step for the current field, given the report
     recorded so far; split_step performs it with the flux flux_for builds.
     Steps are clipped so the run lands exactly on each checkpoint time
     and on t_final; the values at those times go to report.checkpoints.
+    channels, when given, maps the initial field and every step's result to
+    named values, appended to report.channels before the observers run.
     """
     if t_final < initial.time:
         raise ValueError(f"t_final={t_final} precedes the initial time {initial.time}")
     observers = tuple(observers)
     report = RunReport.start(initial, keep_snapshots=keep_snapshots)
-    if on_start is not None:
-        on_start(initial, report)
+    if channels is not None:
+        report._append_channels(channels(initial))
     # Cell centres, computed once per run; read-only because every step's
     # source stage shares them.
     x = initial.grid.cell_centers
@@ -371,8 +394,8 @@ def march(initial: CellField, t_final: float,
             raise RuntimeError(f"step size collapsed at t={t}")
         rec = split_step(field, t_next - t, src, bc, flux_for, x)
         report.record_step(rec)
-        if on_step is not None:
-            on_step(rec, report)
+        if channels is not None:
+            report._append_channels(channels(rec.field_after))
         for observer in observers:
             observer(rec)
         field = rec.field_after
@@ -387,17 +410,21 @@ def run(initial: CellField, t_final: float, fluxdesc: NumericalFluxDescriptor,
         src: SourceDescriptor, bc: BoundarySpec, time_axis: TimeAxis,
         observers: Iterable[Callable[[StepRecord], None]] = (),
         checkpoint_times: Sequence[float] = (),
-        keep_snapshots: bool = False,
-        velocity_hint: float | None = None) -> RunReport:
-    """March a fixed-flux problem from the initial field to t_final."""
+        keep_snapshots: bool = False) -> RunReport:
+    """March a fixed-flux problem from the initial field to t_final.
+
+    dt is the CFL step of the current field, capped by time_axis.dt_max
+    and by the source stage's contraction limit.
+    """
 
     cfl_number = min(time_axis.cfl_number, 1.0 - _CFL_MARGIN)
+    dt_cap = min(time_axis.dt_max, _source_dt_limit(src))
 
     def pick_dt(field: CellField, report: RunReport) -> float:
-        return max_dt(fluxdesc, field, cfl_number, time_axis.dt_max)
+        return max_dt(fluxdesc, field, cfl_number, dt_cap)
 
     return march(
-        initial, t_final, pick_dt, src, bc, _fixed_flux(fluxdesc, velocity_hint),
+        initial, t_final, pick_dt, src, bc, lambda bar: fluxdesc,
         observers=observers,
         checkpoint_times=checkpoint_times,
         keep_snapshots=keep_snapshots,

@@ -326,6 +326,32 @@ class TestMainModes:
         assert main([str(cfg)]) == 2
         assert "only refinement keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-0.5", "1.5"])
+    def test_converge_refuses_cfl_outside_the_unit_interval(self, tmp_path,
+                                                           capsys, value):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, CONVERGE_CFG.format(out=out)
+                           + f"cfl_number = {value}\n")
+        assert main([str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "cfl_number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,key", [
+        ("n_cells = 400", "n_cells"),
+        ("t_final = 3", "t_final"),
+    ])
+    def test_converge_refuses_keys_it_ignores(self, tmp_path, capsys, line,
+                                              key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, CONVERGE_CFG.format(out=out) + line + "\n")
+        assert main([str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "only refinement keys" in err
+        assert key in err
+        assert not out.exists()
+
 
 class TestMainErrors:
     def test_bad_cfl_exits_with_config_error(self, tmp_path, capsys):

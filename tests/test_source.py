@@ -48,6 +48,12 @@ class TestDescriptor:
         )
         assert src.growth_const == pytest.approx(0.5)
 
+    def test_growth_constant_is_derived_not_declared(self):
+        with pytest.raises(TypeError):
+            SourceDescriptor(func=lambda x, t, u: u, lipschitz_u=1.0,
+                             sup_at_zero=0.0, tv_bound=lambda t: 0.0,
+                             growth_const=2.0)
+
     def test_rejects_negative_constants(self):
         with pytest.raises(ValueError):
             SourceDescriptor(func=lambda x, t, u: u, lipschitz_u=-1.0,
@@ -313,13 +319,15 @@ class TestPropertyVerification:
         assert not report.tv_ok
 
     def test_understated_growth_constant_is_caught(self):
+        # The derived growth constant max(0.1, 0.5) = 0.5 is too small for
+        # |g(x, t, 0)| = 2, because the declared sup_at_zero understates it.
         src = SourceDescriptor(
             func=lambda x, t, u: 2.0 + 0.1 * u,
             lipschitz_u=0.1,
-            sup_at_zero=2.0,
+            sup_at_zero=0.5,
             tv_bound=lambda t: 0.0,
-            growth_const=0.5,
         )
+        assert src.growth_const == 0.5
         report = verify_source_properties(src, **self.probes())
         assert not report.growth_ok
 

@@ -11,6 +11,7 @@ from splitfv import (
     CellField,
     CFLViolationError,
     JammedLineError,
+    PhysicalFlux,
     TimeAxis,
     build_grid,
     burgers_flux,
@@ -23,6 +24,7 @@ from splitfv import (
     total_variation,
     transport_stage,
     upwind_linear,
+    zero_flux,
     zero_source,
 )
 
@@ -55,7 +57,7 @@ class TestBoundaries:
     def test_influx_divides_by_velocity(self):
         bc = BoundarySpec.influx_outflow(lambda t: 2.016)
         field = make_field([2.8, 2.8])
-        gl, gr = fill_ghosts(field, bc, 0.0, velocity_hint=0.72)
+        gl, gr = fill_ghosts(field, bc, 0.0, linear_flux(0.72))
         assert gl == pytest.approx(2.8)
         assert gr == pytest.approx(2.8)
 
@@ -65,11 +67,20 @@ class TestBoundaries:
         with pytest.raises(ValueError):
             fill_ghosts(field, bc, 0.0)
 
+    def test_influx_refuses_a_flux_not_declared_linear(self):
+        bc = BoundarySpec.influx_outflow(2.0)
+        field = make_field([1.0, 1.0])
+        with pytest.raises(ValueError, match="declared linear"):
+            fill_ghosts(field, bc, 0.0, burgers_flux())
+        undeclared = PhysicalFlux(func=lambda u: 0.5 * u)
+        with pytest.raises(ValueError, match="declared linear"):
+            fill_ghosts(field, bc, 0.0, undeclared)
+
     def test_influx_jams_at_vanishing_velocity(self):
         bc = BoundarySpec.influx_outflow(2.0)
         field = make_field([1.0, 1.0])
         with pytest.raises(JammedLineError):
-            fill_ghosts(field, bc, 0.0, velocity_hint=1e-12)
+            fill_ghosts(field, bc, 0.0, linear_flux(1e-12))
 
     def test_invalid_kinds_rejected(self):
         with pytest.raises(ValueError):
@@ -247,6 +258,35 @@ class TestRun:
                      BoundarySpec.dirichlet_pair(inflow, 0.0), axis)
         assert report.final_field.values[-1] == pytest.approx(
             2.8 * np.exp(-0.03), abs=5e-4)
+
+    def test_stiff_sink_keeps_dt_under_the_contraction_limit(self):
+        # dt_max = 0.1 alone would give 20 dt = 2; the source stage needs
+        # 20 dt < 1. Transport is the identity, so every cell is its initial
+        # value times the backward-Euler product of 1 / (1 + 20 dt).
+        rate = 20.0
+        grid = build_grid(0.0, 1.0, 6)
+        values = np.linspace(0.5, 3.0, 6)
+        axis = TimeAxis(t_final=1.0, dt_max=0.1, cfl_number=0.9)
+        report = run(CellField(grid, values), 1.0, godunov(zero_flux()),
+                     proportional_decay(rate),
+                     BoundarySpec.dirichlet_outflow(0.0), axis)
+        assert report.times[-1] == pytest.approx(1.0, abs=1e-12)
+        assert all(rate * dt < 1.0 for dt in report.dts)
+        factor = np.prod([1.0 / (1.0 + rate * dt) for dt in report.dts])
+        # The source solve meets an absolute tolerance of 1e-12 per step.
+        assert_allclose(report.final_field.values, values * factor, rtol=0.0,
+                        atol=report.n_steps * 1e-12)
+
+    def test_influx_boundary_reads_the_speed_of_a_linear_flux(self):
+        # Uniform data at density rate / c: the ghost equals the cells, so
+        # the upwind update leaves the field unchanged.
+        grid = build_grid(0.0, 1.0, 8)
+        axis = TimeAxis(t_final=0.5, dt_max=0.1, cfl_number=0.9)
+        report = run(CellField(grid, np.full(8, 2.8)), 0.5,
+                     upwind_linear(linear_flux(0.72)), zero_source(),
+                     BoundarySpec.influx_outflow(2.016), axis)
+        assert_allclose(report.ghost_left, 2.8, rtol=1e-15)
+        assert_allclose(report.final_field.values, 2.8, rtol=1e-14)
 
     def test_rejects_t_final_before_start(self):
         grid = build_grid(0.0, 1.0, 4)
