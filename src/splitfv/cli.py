@@ -582,6 +582,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         setup = build_setup(cfg)
         if mode == "simulate":
             return mode_simulate(setup)
+        # The run takes no step when t_final is within 1e-12 of its start
+        # at 0, and then verify has no step to check.
+        if setup.t_final <= 1e-12:
+            raise ConfigError(
+                f"key 't_final': verify needs a run of at least one step, "
+                f"got t_final = {setup.t_final:g} (must exceed 1e-12)"
+            )
         return mode_verify(setup)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,7 +15,9 @@ flux, quadratic for a quadratic one). entropy_residual_max, the package's
 only entropy check, takes the supremum over k by evaluating every piece at
 its endpoints, midpoint and fitted parabola vertex, which is exhaustive for
 linear and quadratic fluxes. For a flux declared linear (PhysicalFlux.linear)
-the endpoints alone are searched: a linear piece peaks at one of them.
+the endpoints alone are searched: a linear piece peaks at one of them. At
+k = ubar_j, where the source term's sign jumps, the residual is taken as
+the larger of its two one-sided limits, so no tie convention enters.
 
 Stability: the split scheme keeps the sup norm and the total variation
 under exponential-in-time envelopes whose rate is
@@ -27,6 +29,7 @@ includes the boundary data (ghost values and their variation in time).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -77,20 +80,14 @@ class EntropyCheckResult:
         return self.max_residual <= self.tolerance
 
 
-def _signed_distance(bar: np.ndarray, k, tie_sign: float) -> np.ndarray:
-    s = np.sign(bar - k)
-    if tie_sign != 0.0:
-        s = np.where(bar == k, tie_sign, s)
-    return s
-
-
 def _residual_rows(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
-                   k_rows: np.ndarray, tie_sign: float,
-                   source_values: np.ndarray) -> np.ndarray:
+                   k_rows: np.ndarray, source_values: np.ndarray) -> np.ndarray:
     """Residual of every cell for each row of per-cell k values, shape (rows, n).
 
     Both interfaces of every cell go through one numerical_entropy_flux
-    call, so the whole array costs a single eval_flux call.
+    call, so the whole array costs a single eval_flux call. At k = ubar_j,
+    where sign(ubar_j - k) jumps, the source term takes the sign that makes
+    it dt |g|: the larger of its two one-sided limits.
     """
     before = rec.field_before.values
     bar = rec.field_bar.values
@@ -104,7 +101,7 @@ def _residual_rows(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
         np.stack([ext[2:], ext[1:-1]])[:, None, :],
         k_rows,
     )
-    s = _signed_distance(bar, k_rows, tie_sign)
+    s = np.where(bar == k_rows, -np.sign(source_values), np.sign(bar - k_rows))
     return (np.abs(after - k_rows) - np.abs(before - k_rows)
             + dtdx * (g[0] - g[1])
             - s * rec.dt * source_values)
@@ -118,8 +115,7 @@ def _source_values(rec: StepRecord, src: SourceDescriptor) -> np.ndarray:
 
 
 def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
-                         src: SourceDescriptor, tie_sign: float = 0.0,
-                         tolerance: float | None = None) -> EntropyCheckResult:
+                         src: SourceDescriptor) -> EntropyCheckResult:
     """Per-cell supremum of the residual over every entropy constant k.
 
     Cell j's residual is piecewise smooth in k. Its kinks sit at the five
@@ -142,13 +138,15 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     For a flux declared linear only the kink rows are evaluated, one
     eval_flux call. Every piece is then linear in k, so its midpoint and
     vertex lie between its endpoint values; as rows rank first, they could
-    change the result only by rounding above both ends. The exception is
-    the source term's sign, which jumps at k = ubar_j: the row there takes
-    the tie_sign value, and a one-sided limit above it is reached by
-    neither search, only approached by the midpoints.
+    change the result only by rounding above both ends.
+
+    The source term's sign jumps at k = ubar_j. The row there takes the
+    larger of the residual's two one-sided limits, so it bounds every value
+    the residual could be given at the jump, and the supremum is exact
+    there too. The result passes when it is at most 1e-10 times the step's
+    largest state magnitude (at least 1).
     """
-    if tolerance is None:
-        tolerance = _step_tolerance(rec)
+    tolerance = _step_tolerance(rec)
     gsrc = _source_values(rec, src)
     bar = rec.field_bar.values
     n = bar.size
@@ -166,7 +164,7 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     for c in critical_points(fluxdesc.physical, float(lo.min()), float(hi.max())):
         rows.append(np.full((1, n), c))
     k_rows = np.sort(np.vstack(rows), axis=0)
-    r_rows = _residual_rows(rec, fluxdesc, k_rows, tie_sign, gsrc)
+    r_rows = _residual_rows(rec, fluxdesc, k_rows, gsrc)
     if fluxdesc.physical.linear:
         return _worst_candidate(r_rows, k_rows, tolerance, rec.t_before)
 
@@ -175,14 +173,14 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     half = 0.5 * (k2 - k1)
     live = half > 1e-13 * np.maximum(1.0, np.abs(k1) + np.abs(k2))
     km = k1 + half
-    rm = _residual_rows(rec, fluxdesc, km, tie_sign, gsrc)
+    rm = _residual_rows(rec, fluxdesc, km, gsrc)
     # Parabola through (k1, r1), (km, rm), (k2, r2): an interior maximum
     # exists only where the middle sample arches upward.
     arch = r1 - 2.0 * rm + r2
     shift = np.zeros_like(km)
     np.divide(-half * (r2 - r1), 2.0 * arch, out=shift, where=live & (arch < 0.0))
     kv = km + np.clip(shift, -half, half)
-    rv = _residual_rows(rec, fluxdesc, kv, tie_sign, gsrc)
+    rv = _residual_rows(rec, fluxdesc, kv, gsrc)
     dead = ~np.any(live, axis=1)
     rm[dead] = -np.inf
     rv[dead] = -np.inf
@@ -212,18 +210,16 @@ class EntropyObserver:
     """Per-step entropy check to attach to a run's observer list.
 
     Every step is checked with entropy_residual_max, the exact per-cell
-    supremum over k. The flux and source are taken from each step's
+    supremum over k (the larger one-sided limit at k = ubar_j) against the
+    step's own tolerance. The flux and source are taken from each step's
     record, so runs whose transport flux changes between steps are handled.
     """
 
-    def __init__(self, tie_sign: float = 0.0):
-        self.tie_sign = tie_sign
+    def __init__(self):
         self.results: list[EntropyCheckResult] = []
 
     def __call__(self, rec: StepRecord) -> None:
-        self.results.append(entropy_residual_max(
-            rec, rec.fluxdesc, rec.src, tie_sign=self.tie_sign
-        ))
+        self.results.append(entropy_residual_max(rec, rec.fluxdesc, rec.src))
 
     @property
     def worst(self) -> EntropyCheckResult:
@@ -373,25 +369,28 @@ def check_tv_bound(report: RunReport, cfg: BoundCheckConfig) -> BoundCheckResult
 
 @dataclass(frozen=True)
 class TimeBVReport:
-    """Accumulated |u^{n+1}_j - u^n_j| per cell over a snapshotted run."""
+    """Accumulated |u^{n+1}_j - u^n_j| per cell over a run's states."""
 
     per_cell: np.ndarray
     total_max: float
     n_steps: int
 
 
-def time_bv_report(report: RunReport) -> TimeBVReport:
-    """Per-cell temporal variation sums; requires a run kept with snapshots.
+def time_bv_report(states: Sequence[np.ndarray]) -> TimeBVReport:
+    """Per-cell temporal variation sums over a run's states, in time order.
 
-    Reported for inspection only: the scheme does not certify a specific
-    constant for this quantity.
+    states holds the initial values and every step's result; an observer
+    collects them by appending rec.field_after.values to a list that starts
+    with the initial values. Reported for inspection only: the scheme does
+    not certify a specific constant for this quantity.
     """
-    if report.snapshots is None:
-        raise ValueError("time_bv_report needs a run with keep_snapshots=True")
-    snaps = np.asarray(report.snapshots)
+    snaps = np.asarray(states, dtype=float)
+    if snaps.ndim != 2 or len(snaps) == 0:
+        raise ValueError("time_bv_report needs a sequence of equally long "
+                         "states, the initial one first")
     per_cell = np.sum(np.abs(np.diff(snaps, axis=0)), axis=0)
     return TimeBVReport(
         per_cell=per_cell,
         total_max=float(per_cell.max()) if per_cell.size else 0.0,
-        n_steps=len(report.snapshots) - 1,
+        n_steps=len(snaps) - 1,
     )

@@ -39,6 +39,10 @@ from .splitting import (
 )
 
 FACTORY_FLUX_KINDS = ("upwind-linear", "godunov")
+# Stopping rule of the steady-speed fixed-point iteration in
+# constant_yield_steady_state.
+_STEADY_TOL = 1e-12
+_STEADY_MAX_ITERS = 1000
 
 
 # =============================================================
@@ -220,14 +224,14 @@ class SteadyYieldState:
 
 
 def constant_yield_steady_state(influx_rate: float, rate: float,
-                                v0: float = 1.0, max_load: float = 10.0,
-                                tol: float = 1e-12,
-                                max_iters: int = 1000) -> SteadyYieldState:
+                                v0: float = 1.0,
+                                max_load: float = 10.0) -> SteadyYieldState:
     """Steady state of the line with constant influx and constant removal rate.
 
     For a frozen speed v the steady density is u(x) = (influx/v) e^{-rate x / v}
     with WIP = influx (1 - e^{-rate/v}) / rate (or influx / v when rate = 0);
-    the speed consistent with its own WIP is found by fixed-point iteration.
+    the speed consistent with its own WIP is found by fixed-point iteration,
+    to a relative change of _STEADY_TOL within _STEADY_MAX_ITERS iterations.
     """
     if influx_rate <= 0.0:
         raise ValueError(f"influx must be > 0, got {influx_rate}")
@@ -240,12 +244,12 @@ def constant_yield_steady_state(influx_rate: float, rate: float,
         return influx_rate * (1.0 - math.exp(-rate / v)) / rate
 
     v = v0 * 0.5
-    for _ in range(max_iters):
+    for _ in range(_STEADY_MAX_ITERS):
         w = wip_for(v)
         if w >= max_load:
             raise ValueError("no free-flowing steady state: load reaches capacity")
         v_next = v0 * (1.0 - w / max_load)
-        if abs(v_next - v) <= tol * max(1.0, abs(v)):
+        if abs(v_next - v) <= _STEADY_TOL * max(1.0, abs(v)):
             v = v_next
             break
         v = v_next
@@ -289,7 +293,6 @@ def run_factory(model: FactoryModel, initial: CellField | float,
                 flux_kind: str = "upwind-linear",
                 observers: Iterable[Callable[[StepRecord], None]] = (),
                 checkpoint_times: Sequence[float] = (),
-                keep_snapshots: bool = False,
                 grid: Grid1D | None = None) -> RunReport:
     """March the factory model to t_final, refreezing the speed every step.
 
@@ -359,7 +362,6 @@ def run_factory(model: FactoryModel, initial: CellField | float,
         field0, t_final, pick_dt, src, bc, flux_for,
         observers=observers,
         checkpoint_times=checkpoint_times,
-        keep_snapshots=keep_snapshots,
         channels=channels,
     )
 

@@ -45,6 +45,8 @@ import numpy as np
 from .mesh import CellField
 
 FLUX_KINDS = ("upwind-linear", "lax-friedrichs", "godunov", "engquist-osher")
+# Points per axis of check_monotone's sample lattice.
+_MONOTONE_SAMPLES = 50
 
 
 # =============================================================
@@ -311,15 +313,14 @@ class FluxMonotonicityReport:
 
 
 def check_monotone(
-    desc: NumericalFluxDescriptor, bounds: tuple[float, float], samples: int = 50
+    desc: NumericalFluxDescriptor, bounds: tuple[float, float]
 ) -> FluxMonotonicityReport:
-    """Sample F on a lattice over bounds x bounds and report monotonicity."""
+    """Sample F on a _MONOTONE_SAMPLES-square lattice over bounds x bounds
+    and report monotonicity."""
     lo, hi = float(bounds[0]), float(bounds[1])
     if not hi > lo:
         raise ValueError(f"empty sample range ({lo}, {hi})")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    s = np.linspace(lo, hi, int(samples))
+    s = np.linspace(lo, hi, _MONOTONE_SAMPLES)
     A, B = np.meshgrid(s, s, indexing="ij")
     F = eval_flux(desc, A, B)
     diff_a = np.diff(F, axis=0)
@@ -327,7 +328,7 @@ def check_monotone(
     return FluxMonotonicityReport(
         kind=desc.kind,
         bounds=(lo, hi),
-        samples=int(samples),
+        samples=_MONOTONE_SAMPLES,
         worst_drop_in_a=float(diff_a.min()),
         worst_rise_in_b=float(diff_b.max()),
     )

@@ -35,6 +35,11 @@ from typing import Callable
 
 import numpy as np
 
+# Absolute residual every implicit source solve meets, and the fixed-point
+# iterations it runs before the closed form or the bisection takes over.
+_SOLVE_TOL = 1e-12
+_MAX_ITERS = 100
+
 
 class SourceSolveError(RuntimeError):
     """The implicit source step failed; the descriptor's declared constants
@@ -95,7 +100,7 @@ def proportional_decay(rate: float) -> SourceDescriptor:
 # =============================================================
 
 def _bracketed_rescue(src: SourceDescriptor, u0: float, x: float, t: float,
-                      dt: float, tol: float) -> float:
+                      dt: float) -> float:
     def residual(w: float) -> float:
         return w - u0 - dt * float(src.eval(x, t, w))
 
@@ -113,12 +118,13 @@ def _bracketed_rescue(src: SourceDescriptor, u0: float, x: float, t: float,
         )
     # Bisection keeps residual(lo) <= 0 <= residual(hi). It stops once the
     # bracket is narrower than 1e-14 + 4 eps |root| and the residual meets
-    # tol (a steep residual needs a narrower bracket), or when the bracket
-    # cannot be split further.
+    # _SOLVE_TOL (a steep residual needs a narrower bracket), or when the
+    # bracket cannot be split further.
     rtol = 4.0 * np.finfo(float).eps
     root = 0.5 * (lo + hi)
     r = residual(root)
-    while r != 0.0 and (hi - lo > 1e-14 + rtol * abs(root) or abs(r) > tol):
+    while r != 0.0 and (hi - lo > 1e-14 + rtol * abs(root)
+                        or abs(r) > _SOLVE_TOL):
         if r < 0.0:
             lo = root
         else:
@@ -128,19 +134,20 @@ def _bracketed_rescue(src: SourceDescriptor, u0: float, x: float, t: float,
             break
         root = mid
         r = residual(root)
-    if not abs(r) <= tol:
+    if not abs(r) <= _SOLVE_TOL:
         raise SourceSolveError("implicit source update did not reach tolerance")
     return float(root)
 
 
-def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor,
-                         tol: float = 1e-12, max_iters: int = 100):
+def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor):
     """Solve w = u + dt * g(x, t, w) cell-wise.
 
     Accepts scalar (u, x) or equally shaped arrays. The returned value w
-    satisfies |w - u - dt g(x, t, w)| <= tol. Raises ValueError when the
-    contraction condition lipschitz_u * dt < 1 fails and SourceSolveError
-    when the solve cannot be completed at all.
+    satisfies |w - u - dt g(x, t, w)| <= 1e-12 (_SOLVE_TOL), reached by at
+    most 100 fixed-point iterations (_MAX_ITERS) and then, for the cells
+    they leave unsolved, the closed form or the bisection. Raises ValueError
+    when the contraction condition lipschitz_u * dt < 1 fails and
+    SourceSolveError when the solve cannot be completed at all.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -171,11 +178,11 @@ def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor,
     w = u0.copy()
     converged = False
     with np.errstate(all="ignore"):
-        for _ in range(max_iters):
+        for _ in range(_MAX_ITERS):
             w_next = u0 + dt * g(w)
             change = np.abs(w_next - w).max()
-            if change <= tol:
-                # |w - u0 - dt g(w)| = |w_next - w| <= tol, so w is the answer.
+            if change <= _SOLVE_TOL:
+                # |w - u0 - dt g(w)| = |w_next - w|, so w is the answer.
                 converged = True
                 break
             # With w finite, a non-finite change means w_next is not finite,
@@ -188,17 +195,17 @@ def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor,
         def unsolved(w):
             with np.errstate(all="ignore"):
                 resid = np.abs(u0 + dt * g(w) - w)
-            return ~np.isfinite(resid) | (resid > tol)
+            return ~np.isfinite(resid) | (resid > _SOLVE_TOL)
 
         bad = unsolved(w)
         if src.linear:
             # Backward Euler for g = slope * w in closed form; a cell it
-            # leaves outside tol still goes to the bisection.
+            # leaves outside _SOLVE_TOL still goes to the bisection.
             with np.errstate(all="ignore"):
                 w[bad] = (u0 / (1.0 - dt * slope))[bad]
             bad = unsolved(w)
         for i in np.flatnonzero(bad):
-            w[i] = _bracketed_rescue(src, float(u0[i]), float(xx[i]), t, dt, tol)
+            w[i] = _bracketed_rescue(src, float(u0[i]), float(xx[i]), t, dt)
         if not np.isfinite(w).all():
             raise SourceSolveError("implicit source update produced non-finite values")
     return float(w[0]) if scalar else w

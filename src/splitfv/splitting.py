@@ -283,9 +283,11 @@ class RunReport:
 
     `initial` is the field the run started from. Scalar series are aligned
     with `times` (one entry per accepted state, initial state included);
-    ghost and flux series have one entry per step. `channels` holds the
-    named values of the channels hook given to `march`, each series aligned
-    with `times`.
+    `dts` and the ghost series have one entry per step. `channels` holds
+    the named values of the channels hook given to `march`, each series
+    aligned with `times`. Whole states are kept only at the checkpoint
+    times and for the final field; an observer that appends each step's
+    rec.field_after.values collects every state.
     """
 
     initial: CellField
@@ -296,20 +298,15 @@ class RunReport:
     tv_interior: list = dataclass_field(default_factory=list)
     ghost_left: list = dataclass_field(default_factory=list)
     ghost_right: list = dataclass_field(default_factory=list)
-    flux_left: list = dataclass_field(default_factory=list)
-    flux_right: list = dataclass_field(default_factory=list)
     range_exits: int = 0
     channels: dict = dataclass_field(default_factory=dict)
-    snapshots: list | None = None
     checkpoints: dict = dataclass_field(default_factory=dict)
     final_field: CellField | None = None
 
     @classmethod
-    def start(cls, initial: CellField, keep_snapshots: bool = False) -> RunReport:
+    def start(cls, initial: CellField) -> RunReport:
         report = cls(initial=initial)
         report._append_state(initial)
-        if keep_snapshots:
-            report.snapshots = [initial.values]
         report.final_field = initial
         return report
 
@@ -328,12 +325,8 @@ class RunReport:
         self.dts.append(rec.dt)
         self.ghost_left.append(rec.ghost_left)
         self.ghost_right.append(rec.ghost_right)
-        self.flux_left.append(rec.flux_left)
-        self.flux_right.append(rec.flux_right)
         if rec.exited_working_range:
             self.range_exits += 1
-        if self.snapshots is not None:
-            self.snapshots.append(rec.field_after.values)
         self.final_field = rec.field_after
 
     @property
@@ -350,7 +343,6 @@ def march(initial: CellField, t_final: float,
           src: SourceDescriptor, bc: BoundarySpec, flux_for: FluxBuilder,
           observers: Iterable[Callable[[StepRecord], None]] = (),
           checkpoint_times: Sequence[float] = (),
-          keep_snapshots: bool = False,
           channels: Callable[[CellField], dict[str, float]] | None = None) -> RunReport:
     """Generic adaptive time loop shared by the plain and model-bound drivers.
 
@@ -360,11 +352,13 @@ def march(initial: CellField, t_final: float,
     and on t_final; the values at those times go to report.checkpoints.
     channels, when given, maps the initial field and every step's result to
     named values, appended to report.channels before the observers run.
+    Observers see every step's StepRecord, in order; they are the one
+    route to per-step output beyond the report's series.
     """
     if t_final < initial.time:
         raise ValueError(f"t_final={t_final} precedes the initial time {initial.time}")
     observers = tuple(observers)
-    report = RunReport.start(initial, keep_snapshots=keep_snapshots)
+    report = RunReport.start(initial)
     if channels is not None:
         report._append_channels(channels(initial))
     # Cell centres, computed once per run; read-only because every step's
@@ -409,8 +403,7 @@ def march(initial: CellField, t_final: float,
 def run(initial: CellField, t_final: float, fluxdesc: NumericalFluxDescriptor,
         src: SourceDescriptor, bc: BoundarySpec, time_axis: TimeAxis,
         observers: Iterable[Callable[[StepRecord], None]] = (),
-        checkpoint_times: Sequence[float] = (),
-        keep_snapshots: bool = False) -> RunReport:
+        checkpoint_times: Sequence[float] = ()) -> RunReport:
     """March a fixed-flux problem from the initial field to t_final.
 
     dt is the CFL step of the current field, capped by time_axis.dt_max
@@ -427,5 +420,4 @@ def run(initial: CellField, t_final: float, fluxdesc: NumericalFluxDescriptor,
         initial, t_final, pick_dt, src, bc, lambda bar: fluxdesc,
         observers=observers,
         checkpoint_times=checkpoint_times,
-        keep_snapshots=keep_snapshots,
     )

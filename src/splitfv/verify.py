@@ -217,7 +217,6 @@ class RefinementResult:
 
 
 def solve_on_grid(problem: TestProblem, n_cells: int, cfl_number: float = 0.9,
-                  quadrature_points: int = 8,
                   entropy_check: bool = True) -> tuple[CellField, RunReport, float | None]:
     """Run a test problem on one grid; returns (final field, report, entropy max).
 
@@ -225,8 +224,7 @@ def solve_on_grid(problem: TestProblem, n_cells: int, cfl_number: float = 0.9,
     centers at each step's starting time.
     """
     grid = build_grid(problem.x_min, problem.x_max, n_cells)
-    initial = project_initial(problem.initial, grid,
-                              quadrature_points=quadrature_points)
+    initial = project_initial(problem.initial, grid)
     x_left = problem.x_min - 0.5 * grid.dx
     x_right = problem.x_max + 0.5 * grid.dx
     bc = BoundarySpec.dirichlet_pair(
@@ -250,7 +248,6 @@ def solve_on_grid(problem: TestProblem, n_cells: int, cfl_number: float = 0.9,
 
 def refinement_study(problem: TestProblem, base_cells: int = 50,
                      n_levels: int = 4, cfl_number: float = 0.9,
-                     quadrature_points: int = 8,
                      entropy_check: bool = True) -> RefinementResult:
     """L1 errors on doubled grids and the observed convergence orders.
 
@@ -266,13 +263,11 @@ def refinement_study(problem: TestProblem, base_cells: int = 50,
         started = time_module.perf_counter()
         final, _, entropy_max = solve_on_grid(
             problem, n_cells, cfl_number=cfl_number,
-            quadrature_points=quadrature_points, entropy_check=entropy_check,
+            entropy_check=entropy_check,
         )
         elapsed = time_module.perf_counter() - started
         exact_final = project_initial(
-            lambda x: problem.exact(x, problem.t_final), final.grid,
-            quadrature_points=quadrature_points,
-        )
+            lambda x: problem.exact(x, problem.t_final), final.grid)
         err = l1_distance(final, exact_final)
         levels.append(RefinementLevel(
             n_cells=n_cells,

@@ -399,6 +399,26 @@ class TestMainErrors:
         assert "'seed'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "1e-13", "1e-12"])
+    def test_verify_refuses_a_run_without_steps(self, tmp_path, capsys, value):
+        # No step is taken up to t_final = 1e-12; verify used to run and then
+        # exit 1 with "no steps observed".
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "mode = verify\npreset = testcase1\n"
+                                     f"t_final = {value}\noutput_dir = {out}\n")
+        assert main([str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "t_final" in err
+        assert not out.exists()
+
+    def test_simulate_accepts_a_zero_horizon(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "preset = testcase1\nt_final = 0\n"
+                                     f"n_cells = 20\noutput_dir = {out}\n")
+        assert main([str(cfg)]) == 0
+        assert len((out / "timeseries.csv").read_text().splitlines()) == 2
+
     def test_duplicate_snapshot_time_writes_one_file(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, (
@@ -484,10 +504,13 @@ def test_random_line_config_is_refused_or_runs_cleanly(text):
         setup = build_setup(parse_config_text(text))
     except ConfigError:
         return
+    states = []
     report = run_factory(
         setup.model, setup.initial_density, setup.t_final, setup.time_axis,
-        flux_kind=setup.flux_kind, keep_snapshots=True,
+        flux_kind=setup.flux_kind,
+        observers=[lambda rec: states.append(rec.field_after.values)],
         grid=build_grid(0.0, 1.0, setup.n_cells),
     )
-    assert min(float(snap.min()) for snap in report.snapshots) >= 0.0
+    states.insert(0, report.initial.values)
+    assert min(float(snap.min()) for snap in states) >= 0.0
     assert max(report.channels["wip"]) < setup.model.max_load

@@ -41,8 +41,7 @@ from splitfv.flux import critical_points, eval_flux, flux_lipschitz
 
 
 def burgers_shock_run(n_cells: int = 48, t_final: float = 0.35,
-                      observers=(), keep_snapshots: bool = False,
-                      fluxdesc=None):
+                      observers=(), fluxdesc=None):
     """Decaying Riemann step on [0, 1], under Godunov transport by default."""
     grid = build_grid(0.0, 1.0, n_cells)
     values = np.where(grid.cell_centers < 0.25, 1.0, 0.0)
@@ -54,7 +53,6 @@ def burgers_shock_run(n_cells: int = 48, t_final: float = 0.35,
         bc=BoundarySpec.dirichlet_pair(1.0, 0.0),
         time_axis=TimeAxis(t_final, dt_max=0.05),
         observers=observers,
-        keep_snapshots=keep_snapshots,
     )
 
 
@@ -140,12 +138,37 @@ class TestEntropyResidual:
 
     @pytest.mark.parametrize("tie_sign", [0.0, 1.0, -1.0])
     def test_shock_run_passes_under_any_tie_convention(self, tie_sign):
+        # The check takes the larger one-sided limit at k = ubar_j, so its
+        # pass covers the search under any value given to the sign there.
         records = []
         burgers_shock_run(observers=[records.append])
         for rec in records:
-            res = entropy_residual_max(rec, rec.fluxdesc, rec.src,
-                                       tie_sign=tie_sign)
+            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
             assert res.passed, (rec.t_before, res.max_residual)
+            larger, _, _ = one_sided_supremum(rec)
+            assert res.max_residual == pytest.approx(larger, rel=1e-12)
+            tied, _, _ = sequential_supremum(rec, tie_sign)
+            assert tied <= larger + rounding_gap(rec), rec.t_before
+
+    def test_supremum_takes_the_larger_one_sided_limit_at_the_bar_value(self):
+        # A central flux on a decaying step violates the inequality near
+        # k = ubar_j, where the source term's sign jumps. The reported
+        # supremum must reach the residual there under either sign; taking
+        # the sign as 0 fell short by up to 2 dt |g|.
+        grid = build_grid(0.0, 1.0, 48)
+        field = CellField(grid, np.where(grid.cell_centers < 0.5, 1.0, 0.0))
+        records = []
+        run(field, 0.2, fluxdesc=lax_friedrichs(linear_flux(0.72), 0.0),
+            src=proportional_decay(0.5),
+            bc=BoundarySpec.dirichlet_pair(1.0, 0.0),
+            time_axis=TimeAxis(0.2, dt_max=0.1), observers=[records.append])
+        assert records
+        for rec in records:
+            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            bar = rec.field_bar.values
+            for sign in (1.0, -1.0):
+                at_bar = float(np.max(cell_residuals(rec, bar, sign)))
+                assert res.max_residual >= at_bar, (rec.t_before, sign)
 
     def test_result_reports_location(self):
         records = []
@@ -228,6 +251,16 @@ def cell_residuals(rec, k, tie_sign: float = 0.0):
             - s * rec.dt * gsrc)
 
 
+def one_sided_supremum(rec):
+    """Reference for entropy_residual_max: the larger of the sequential
+    searches with the source sign at k = ubar_j set to +1 and to -1.
+
+    On equal maxima the +1 search's answer is kept.
+    """
+    return max(sequential_supremum(rec, 1.0), sequential_supremum(rec, -1.0),
+               key=lambda result: result[0])
+
+
 def sequential_supremum(rec, tie_sign: float = 0.0):
     """Reference for entropy_residual_max: one k row at a time.
 
@@ -284,13 +317,16 @@ class TestBatchedSupremum:
                                          "testcase2_records"])
     def test_every_step_matches_the_sequential_search(self, records, tie_sign,
                                                       request):
+        # The reference is the larger of the +1 and -1 sign conventions at
+        # k = ubar_j; the search under tie_sign never exceeds it.
         for rec in request.getfixturevalue(records):
-            res = entropy_residual_max(rec, rec.fluxdesc, rec.src,
-                                       tie_sign=tie_sign)
-            max_residual, cell, k_value = sequential_supremum(rec, tie_sign)
+            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            max_residual, cell, k_value = one_sided_supremum(rec)
             assert res.max_residual == pytest.approx(max_residual, rel=1e-12)
             assert res.cell_index == cell
             assert res.k_value == pytest.approx(k_value, rel=1e-12)
+            tied, _, _ = sequential_supremum(rec, tie_sign)
+            assert tied <= max_residual + rounding_gap(rec), rec.t_before
 
     @pytest.mark.parametrize("records,n_steps,pins", [
         ("burgers_shock_records", 19, BURGERS_SHOCK_PINS),
@@ -342,14 +378,18 @@ class TestBatchedSupremum:
                                                     tie_sign):
         # On every step of the line model the rows-only search returns the
         # sequential search's answer bit for bit: no midpoint or vertex
-        # rounds above the rows. The CLI's outputs rest on this.
+        # rounds above the rows. The CLI's outputs rest on this. The
+        # reference takes the larger of the +1 and -1 sign conventions at
+        # k = ubar_j; the search under tie_sign never exceeds it.
         records = line_records(preset, flux_kind)
         assert records and records[0].fluxdesc.physical.linear
         for rec in records:
-            res = entropy_residual_max(rec, rec.fluxdesc, rec.src,
-                                       tie_sign=tie_sign)
+            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            reference = one_sided_supremum(rec)
             assert (res.max_residual, res.cell_index, res.k_value) \
-                == sequential_supremum(rec, tie_sign), rec.t_before
+                == reference, rec.t_before
+            tied, _, _ = sequential_supremum(rec, tie_sign)
+            assert tied <= reference[0] + rounding_gap(rec), rec.t_before
 
     @pytest.mark.parametrize("tie_sign", [0.0, 1.0, -1.0])
     @pytest.mark.parametrize("fluxdesc", [
@@ -370,18 +410,21 @@ class TestBatchedSupremum:
         # (by about 0.1 ulp of the residual's terms), so the answers can
         # differ in the last bits and in the cell and k they name. The rows
         # are a subset of the sequential candidates, so the rows-only
-        # maximum can never be the larger one.
+        # maximum can never be the larger one. The reference takes the
+        # larger of the +1 and -1 sign conventions at k = ubar_j; the
+        # search under tie_sign never exceeds it.
         records = []
         burgers_shock_run(observers=[records.append], fluxdesc=fluxdesc)
         assert records and fluxdesc.physical.linear
         for rec in records:
-            res = entropy_residual_max(rec, rec.fluxdesc, rec.src,
-                                       tie_sign=tie_sign)
-            max_residual, _, _ = sequential_supremum(rec, tie_sign)
+            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            max_residual, _, _ = one_sided_supremum(rec)
             assert res.max_residual <= max_residual, rec.t_before
             assert max_residual - res.max_residual <= rounding_gap(rec), \
                 rec.t_before
             assert res.passed == (max_residual <= res.tolerance)
+            tied, _, _ = sequential_supremum(rec, tie_sign)
+            assert tied <= max_residual + rounding_gap(rec), rec.t_before
 
     @pytest.mark.parametrize("fluxdesc", [
         godunov(burgers_flux()),
@@ -609,15 +652,18 @@ class TestStabilityBounds:
 # =============================================================
 
 class TestTimeBVReport:
-    def test_requires_snapshots(self):
-        report = burgers_shock_run()
-        with pytest.raises(ValueError, match="snapshots"):
-            time_bv_report(report)
+    @pytest.mark.parametrize("states", [[], [1.0, 2.0]])
+    def test_needs_a_sequence_of_states(self, states):
+        with pytest.raises(ValueError, match="states"):
+            time_bv_report(states)
 
     def test_matches_a_direct_sum(self):
-        report = burgers_shock_run(keep_snapshots=True)
-        bv = time_bv_report(report)
-        snaps = np.asarray(report.snapshots)
+        states = []
+        report = burgers_shock_run(
+            observers=[lambda rec: states.append(rec.field_after.values)])
+        states.insert(0, report.initial.values)
+        bv = time_bv_report(states)
+        snaps = np.asarray(states)
         assert bv.n_steps == report.n_steps
         assert_allclose(bv.per_cell,
                         np.sum(np.abs(np.diff(snaps, axis=0)), axis=0),

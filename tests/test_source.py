@@ -91,7 +91,7 @@ class TestImplicitStep:
         )
         u = np.linspace(-2.0, 2.0, 11)
         dt = 0.5
-        w = implicit_source_step(u, np.zeros(11), 0.0, dt, src, tol=1e-12)
+        w = implicit_source_step(u, np.zeros(11), 0.0, dt, src)
         residual = np.abs(w - u - dt * src.eval(np.zeros(11), 0.0, w))
         assert residual.max() <= 1e-12
 
@@ -129,7 +129,7 @@ class TestBracketedRescue:
             sup_at_zero=0.0,
             tv_bound=lambda t: 0.0,
         )
-        w = implicit_source_step(1.0, 0.0, 0.0, 1.0, src, tol=1e-12)
+        w = implicit_source_step(1.0, 0.0, 0.0, 1.0, src)
         assert w == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_divergence_to_overflow_is_rescued(self):

@@ -198,6 +198,11 @@ class TestStep:
 # Run driver
 # =============================================================
 
+def collect_states(states):
+    """Observer appending every step's resulting values to `states`."""
+    return lambda rec: states.append(rec.field_after.values)
+
+
 def shock_run(n_cells=64, t_final=0.4, checkpoint_times=(), **kwargs):
     grid = build_grid(0.0, 1.0, n_cells)
     values = np.where(grid.cell_centers < 0.3, 1.0, 0.0)
@@ -225,7 +230,7 @@ class TestRun:
         assert len(report.tv) == n + 1
         assert len(report.dts) == n
         assert len(report.ghost_left) == n
-        assert len(report.flux_right) == n
+        assert len(report.ghost_right) == n
 
     def test_shock_run_is_total_variation_stable(self):
         report = shock_run()
@@ -234,14 +239,18 @@ class TestRun:
         assert report.range_exits == 0
 
     def test_monotone_profile_stays_monotone(self):
-        report = shock_run(keep_snapshots=True)
-        for snap in report.snapshots:
+        states = []
+        report = shock_run(observers=[collect_states(states)])
+        for snap in [report.initial.values] + states:
             assert np.all(np.diff(snap) <= 1e-14)
 
     def test_snapshots_opt_in(self):
-        assert shock_run().snapshots is None
-        report = shock_run(keep_snapshots=True)
-        assert len(report.snapshots) == report.n_steps + 1
+        # The report keeps no per-step states; an observer collects them.
+        assert not hasattr(shock_run(), "snapshots")
+        states = []
+        report = shock_run(observers=[collect_states(states)])
+        assert len(states) == report.n_steps
+        assert states[-1] is report.final_field.values
 
     def test_decay_run_tracks_exact_exponential(self):
         # Uniform data, uniform inflow: transport is the identity and the
@@ -304,10 +313,12 @@ class TestRun:
         grid = build_grid(0.0, 1.0, 10)
         initial = CellField(grid, np.where(grid.cell_centers < 0.5, 1.0, 0.0))
         axis = TimeAxis(t_final=1.0, dt_max=1.0, cfl_number=cfl_number)
+        states = []
         report = run(initial, 1.0, upwind_linear(linear_flux(0.7)),
                      zero_source(), BoundarySpec.dirichlet_pair(0.0, 0.0),
-                     axis, keep_snapshots=True)
-        assert min(float(snap.min()) for snap in report.snapshots) >= 0.0
+                     axis, observers=[collect_states(states)])
+        assert min(float(snap.min())
+                   for snap in [report.initial.values] + states) >= 0.0
         expected = min(cfl_number, 1.0 - 1e-9) * grid.dx / 0.7
         assert report.dts[0] == expected
 
