@@ -15,9 +15,13 @@ flux, quadratic for a quadratic one). entropy_residual_max, the package's
 only entropy check, takes the supremum over k by evaluating every piece at
 its endpoints, midpoint and fitted parabola vertex, which is exhaustive for
 linear and quadratic fluxes. For a flux declared linear (PhysicalFlux.linear)
-the endpoints alone are searched: a linear piece peaks at one of them. At
-k = ubar_j, where the source term's sign jumps, the residual is taken as
-the larger of its two one-sided limits, so no tie convention enters.
+the endpoints alone are searched: a linear piece peaks at one of them.
+When, in addition, the numerical flux is upwind-linear or Godunov and the
+speed f(1) is nonnegative, F(a, b) is f(a) to the float, so G reduces to
+f(max(s, k)) - f(min(s, k)) at the upwind state s and the check makes no
+numerical flux call at all. At k = ubar_j, where the source term's sign
+jumps, the residual is taken as the larger of its two one-sided limits, so
+no tie convention enters.
 
 Stability: the split scheme keeps the sup norm and the total variation
 under exponential-in-time envelopes whose rate is
@@ -56,15 +60,6 @@ def numerical_entropy_flux(fluxdesc: NumericalFluxDescriptor, a, b, k):
     return flux[0] - flux[1]
 
 
-def _step_tolerance(rec: StepRecord) -> float:
-    scale = max(
-        1.0,
-        float(np.max(np.abs(rec.field_before.values))),
-        float(np.max(np.abs(rec.field_after.values))),
-    )
-    return 1e-10 * scale
-
-
 @dataclass(frozen=True)
 class EntropyCheckResult:
     """Largest entropy residual found in one step."""
@@ -80,27 +75,46 @@ class EntropyCheckResult:
         return self.max_residual <= self.tolerance
 
 
+def _is_upwind(fluxdesc: NumericalFluxDescriptor) -> bool:
+    """Whether F(a, b) is f(a) to the float: upwind-linear by definition,
+    and Godunov for a flux declared linear with f(1) >= 0, whose rounded
+    values are nondecreasing in u, so the min or max over [a, b] is f(a)."""
+    return (fluxdesc.physical.linear
+            and fluxdesc.kind in ("upwind-linear", "godunov")
+            and fluxdesc.physical.eval(1.0) >= 0.0)
+
+
 def _residual_rows(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
-                   k_rows: np.ndarray, source_values: np.ndarray) -> np.ndarray:
+                   ext: np.ndarray, k_rows: np.ndarray,
+                   source_values: np.ndarray) -> np.ndarray:
     """Residual of every cell for each row of per-cell k values, shape (rows, n).
 
-    Both interfaces of every cell go through one numerical_entropy_flux
-    call, so the whole array costs a single eval_flux call. At k = ubar_j,
-    where sign(ubar_j - k) jumps, the source term takes the sign that makes
-    it dt |g|: the larger of its two one-sided limits.
+    ext holds the ghost values around the post-source states. Both
+    interfaces of every cell go through one numerical_entropy_flux call, so
+    the whole array costs a single eval_flux call. When F(a, b) is f(a)
+    (_is_upwind), G is f(max(s, k)) - f(min(s, k)) at the upwind state s,
+    from one evaluation of the physical flux and no eval_flux call; the
+    floats are those eval_flux would give, up to the sign of an exact zero.
+    Non-finite states are refused (ValueError) on either route. At
+    k = ubar_j, where sign(ubar_j - k) jumps, the source term takes the
+    sign that makes it dt |g|: the larger of its two one-sided limits.
     """
     before = rec.field_before.values
     bar = rec.field_bar.values
     after = rec.field_after.values
     dtdx = rec.dt / rec.field_before.grid.dx
-    ext = np.concatenate([[rec.ghost_left], bar, [rec.ghost_right]])
-    # Leading axis: right interface (bar_j, bar_{j+1}), left (bar_{j-1}, bar_j).
-    g = numerical_entropy_flux(
-        fluxdesc,
-        np.stack([ext[1:-1], ext[:-2]])[:, None, :],
-        np.stack([ext[2:], ext[1:-1]])[:, None, :],
-        k_rows,
-    )
+    # Leading axis: right interface (bar_j, bar_{j+1}), left (bar_{j-1}, bar_j);
+    # a holds each interface's left state, the upwind one when F(a, b) = f(a).
+    a = np.stack([ext[1:-1], ext[:-2]])[:, None, :]
+    if _is_upwind(fluxdesc):
+        if not (np.isfinite(ext).all() and np.isfinite(k_rows).all()):
+            raise ValueError("non-finite state passed to the entropy check")
+        f = fluxdesc.physical.eval(
+            np.stack([np.maximum(a, k_rows), np.minimum(a, k_rows)]))
+        g = f[0] - f[1]
+    else:
+        g = numerical_entropy_flux(
+            fluxdesc, a, np.stack([ext[2:], ext[1:-1]])[:, None, :], k_rows)
     s = np.where(bar == k_rows, -np.sign(source_values), np.sign(bar - k_rows))
     return (np.abs(after - k_rows) - np.abs(before - k_rows)
             + dtdx * (g[0] - g[1])
@@ -138,15 +152,17 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     For a flux declared linear only the kink rows are evaluated, one
     eval_flux call. Every piece is then linear in k, so its midpoint and
     vertex lie between its endpoint values; as rows rank first, they could
-    change the result only by rounding above both ends.
+    change the result only by rounding above both ends. If the numerical
+    flux is also upwind-linear, or Godunov with f(1) >= 0, F(a, b) is f(a),
+    and the rows take no eval_flux call: G(a, b; k) is
+    f(max(a, k)) - f(min(a, k)), the same floats.
 
     The source term's sign jumps at k = ubar_j. The row there takes the
     larger of the residual's two one-sided limits, so it bounds every value
     the residual could be given at the jump, and the supremum is exact
     there too. The result passes when it is at most 1e-10 times the step's
-    largest state magnitude (at least 1).
+    largest state magnitude before or after the step (at least 1).
     """
-    tolerance = _step_tolerance(rec)
     gsrc = _source_values(rec, src)
     bar = rec.field_bar.values
     n = bar.size
@@ -158,13 +174,14 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
         bar,
         ext[2:],
     ])
+    tolerance = 1e-10 * max(1.0, float(np.abs(local[:2]).max()))
     lo = local.min(axis=0)
     hi = local.max(axis=0)
     rows = [local, lo[None, :] - 1.0, hi[None, :] + 1.0]
     for c in critical_points(fluxdesc.physical, float(lo.min()), float(hi.max())):
         rows.append(np.full((1, n), c))
     k_rows = np.sort(np.vstack(rows), axis=0)
-    r_rows = _residual_rows(rec, fluxdesc, k_rows, gsrc)
+    r_rows = _residual_rows(rec, fluxdesc, ext, k_rows, gsrc)
     if fluxdesc.physical.linear:
         return _worst_candidate(r_rows, k_rows, tolerance, rec.t_before)
 
@@ -173,14 +190,14 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     half = 0.5 * (k2 - k1)
     live = half > 1e-13 * np.maximum(1.0, np.abs(k1) + np.abs(k2))
     km = k1 + half
-    rm = _residual_rows(rec, fluxdesc, km, gsrc)
+    rm = _residual_rows(rec, fluxdesc, ext, km, gsrc)
     # Parabola through (k1, r1), (km, rm), (k2, r2): an interior maximum
     # exists only where the middle sample arches upward.
     arch = r1 - 2.0 * rm + r2
     shift = np.zeros_like(km)
     np.divide(-half * (r2 - r1), 2.0 * arch, out=shift, where=live & (arch < 0.0))
     kv = km + np.clip(shift, -half, half)
-    rv = _residual_rows(rec, fluxdesc, kv, gsrc)
+    rv = _residual_rows(rec, fluxdesc, ext, kv, gsrc)
     dead = ~np.any(live, axis=1)
     rm[dead] = -np.inf
     rv[dead] = -np.inf
@@ -192,16 +209,15 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
 
 def _worst_candidate(cand_r: np.ndarray, cand_k: np.ndarray, tolerance: float,
                      t_before: float) -> EntropyCheckResult:
-    """The first maximum of each cell's column, then the first across cells."""
-    pick = np.argmax(cand_r, axis=0)[None, :]
-    best_r = np.take_along_axis(cand_r, pick, axis=0)[0]
-    best_k = np.take_along_axis(cand_k, pick, axis=0)[0]
-    worst_cell = int(np.argmax(best_r))
+    """The first cell holding the largest column maximum, then the first
+    row of that cell's column holding it."""
+    worst_cell = int(np.argmax(cand_r.max(axis=0)))
+    row = int(np.argmax(cand_r[:, worst_cell]))
     return EntropyCheckResult(
-        max_residual=float(best_r[worst_cell]),
+        max_residual=float(cand_r[row, worst_cell]),
         tolerance=tolerance,
         cell_index=worst_cell,
-        k_value=float(best_k[worst_cell]),
+        k_value=float(cand_k[row, worst_cell]),
         t_before=t_before,
     )
 

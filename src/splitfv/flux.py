@@ -27,8 +27,9 @@ bisection on every Godunov or Engquist-Osher call.
 A physical flux may also declare itself linear, f(u) = f(1) * u, as
 linear_flux and zero_flux do. upwind-linear accepts only such a flux, and
 the entropy check (diagnostics.entropy_residual_max) reads the declaration
-to search k at the kinks of the residual alone. An undeclared flux is
-never treated as linear, whatever its shape.
+to search k at the kinks of the residual alone and, under upwind-linear or
+Godunov with f(1) >= 0, to take F(a, b) = f(a) without calling eval_flux.
+An undeclared flux is never treated as linear, whatever its shape.
 
 The viscosity alpha of lax-friedrichs must reach sup|f'| over the working
 range for monotonicity; smaller values are accepted by the constructor so
@@ -66,7 +67,8 @@ class PhysicalFlux:
             on every call of `critical_points` otherwise.
         linear: declares f(u) = f(1) * u. Nothing checks the declaration;
             a false one makes upwind-linear inconsistent and lets the
-            entropy check miss a maximum inside a piece.
+            entropy check miss a maximum inside a piece, or take f(a) for
+            a Godunov flux.
     """
 
     func: Callable

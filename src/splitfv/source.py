@@ -10,7 +10,9 @@ the contraction limit.
 A descriptor may declare its source linear in u, g(x, t, u) = g(x, t, 1) u;
 every shipped one does. The solve then evaluates g once per step, iterates
 on that slope, and gives any cell the iteration leaves unsolved the closed
-form u / (1 - dt g(x, t, 1)) instead of the bisection.
+form u / (1 - dt g(x, t, 1)) instead of the bisection. Near the contraction
+limit, where the iteration budget may not settle the error, it takes the
+closed form without iterating.
 
 A SourceDescriptor bundles g with the constants the solver and the
 diagnostics rely on:
@@ -139,13 +141,39 @@ def _bracketed_rescue(src: SourceDescriptor, u0: float, x: float, t: float,
     return float(root)
 
 
+def _fixed_point(u0: np.ndarray, dt: float,
+                 g: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, bool]:
+    """Iterate w <- u0 + dt g(w) from u0, at most _MAX_ITERS times.
+
+    Returns the last iterate and whether it met _SOLVE_TOL in every cell.
+    An iteration that leaves the floats stops early, unconverged.
+    """
+    # Every iterate kept as w is finite, so a converged w is finite too.
+    w = u0.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ITERS):
+            w_next = u0 + dt * g(w)
+            change = np.abs(w_next - w).max()
+            if change <= _SOLVE_TOL:
+                # |w - u0 - dt g(w)| = |w_next - w|, so w is the answer.
+                return w, True
+            # With w finite, a non-finite change means w_next is not finite,
+            # or that two finite iterates differ by more than a float holds.
+            if not math.isfinite(change) and not np.isfinite(w_next).all():
+                return w_next, False
+            w = w_next
+    return w, False
+
+
 def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor):
     """Solve w = u + dt * g(x, t, w) cell-wise.
 
     Accepts scalar (u, x) or equally shaped arrays. The returned value w
     satisfies |w - u - dt g(x, t, w)| <= 1e-12 (_SOLVE_TOL), reached by at
     most 100 fixed-point iterations (_MAX_ITERS) and then, for the cells
-    they leave unsolved, the closed form or the bisection. Raises ValueError
+    they leave unsolved, the closed form or the bisection. A linear sink
+    skips the iterations when (lipschitz_u dt)^100 > 1e-12, that is when
+    lipschitz_u dt exceeds about 0.76. Raises ValueError
     when the contraction condition lipschitz_u * dt < 1 fails and
     SourceSolveError when the solve cannot be completed at all.
     """
@@ -174,23 +202,13 @@ def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor):
         def g(w):
             return np.asarray(src.eval(xx, t, w), dtype=float)
 
-    # Every iterate kept as w is finite, so a converged w is finite too.
-    w = u0.copy()
-    converged = False
-    with np.errstate(all="ignore"):
-        for _ in range(_MAX_ITERS):
-            w_next = u0 + dt * g(w)
-            change = np.abs(w_next - w).max()
-            if change <= _SOLVE_TOL:
-                # |w - u0 - dt g(w)| = |w_next - w|, so w is the answer.
-                converged = True
-                break
-            # With w finite, a non-finite change means w_next is not finite,
-            # or that two finite iterates differ by more than a float holds.
-            if not math.isfinite(change) and not np.isfinite(w_next).all():
-                w = w_next
-                break
-            w = w_next
+    # The iteration shrinks an error by up to lipschitz_u * dt a pass. When
+    # _MAX_ITERS passes may not bring that under _SOLVE_TOL, as at the
+    # source-stage dt limit, a linear sink goes to its closed form at once.
+    if src.linear and (src.lipschitz_u * dt) ** _MAX_ITERS > _SOLVE_TOL:
+        w, converged = u0.copy(), False
+    else:
+        w, converged = _fixed_point(u0, dt, g)
     if not converged:
         def unsolved(w):
             with np.errstate(all="ignore"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitfv import build_grid, run_factory
+from splitfv import EntropyObserver, build_grid, run_factory
 from splitfv import source as source_module
 from splitfv.cli import (
     ConfigError,
@@ -475,15 +475,24 @@ class TestEntryPoint:
 
 @st.composite
 def line_configs(draw):
-    """Config text for a line with v0 = 1 and max_load = 10 (capacity 2.5)."""
+    """Config text for a line with v0 in [0.1, 5], max_load in [0.5, 50] and
+    influxes below its capacity v0 max_load / 4, often within 5% of it."""
+    v0 = draw(st.floats(0.1, 5.0))
+    max_load = draw(st.floats(0.5, 50.0))
+    fractions = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                          st.floats(0.95, 1.0, exclude_max=True))
+    capacity = v0 * max_load / 4.0
     keys = {
+        "flux": draw(st.sampled_from(["upwind-linear", "godunov"])),
+        "v0": repr(v0),
+        "max_load": repr(max_load),
         "n_cells": str(draw(st.integers(10, 100))),
         "t_final": repr(draw(st.floats(0.1, 1.0))),
         "cfl_number": repr(draw(st.one_of(st.just(1.0),
                                           st.floats(0.1, 1.0)))),
         "dt_max": repr(draw(st.floats(0.01, 1.0))),
-        "influx_before": repr(draw(st.floats(0.0, 2.5, exclude_max=True))),
-        "influx_after": repr(draw(st.floats(0.0, 2.5, exclude_max=True))),
+        "influx_before": repr(draw(fractions) * capacity),
+        "influx_after": repr(draw(fractions) * capacity),
     }
     rates = st.floats(0.0, 5.0)
     kind = draw(st.sampled_from(["none", "constant-rate", "piecewise-linear"]))
@@ -505,12 +514,14 @@ def test_random_line_config_is_refused_or_runs_cleanly(text):
     except ConfigError:
         return
     states = []
+    entropy = EntropyObserver()
     report = run_factory(
         setup.model, setup.initial_density, setup.t_final, setup.time_axis,
         flux_kind=setup.flux_kind,
-        observers=[lambda rec: states.append(rec.field_after.values)],
+        observers=[lambda rec: states.append(rec.field_after.values), entropy],
         grid=build_grid(0.0, 1.0, setup.n_cells),
     )
     states.insert(0, report.initial.values)
     assert min(float(snap.min()) for snap in states) >= 0.0
     assert max(report.channels["wip"]) < setup.model.max_load
+    assert entropy.passed, entropy.worst

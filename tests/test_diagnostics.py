@@ -13,6 +13,7 @@ from splitfv import (
     BoundCheckConfig,
     CellField,
     EntropyObserver,
+    FactoryModel,
     TimeAxis,
     YieldLoss,
     build_grid,
@@ -30,6 +31,7 @@ from splitfv import (
     proportional_decay,
     run,
     run_factory,
+    step_influx,
     time_bv_report,
     transport_stage,
     upwind_linear,
@@ -227,6 +229,18 @@ def testcase2_records():
     return line_records("testcase2", "godunov")
 
 
+def empty_line_records(flux_kind: str):
+    """Steps of a line that starts empty and gets no influx, on 40 cells to
+    t = 1: every state, ghost and flux value is an exact zero."""
+    model = FactoryModel(v0=1.0, max_load=10.0, influx=step_influx(0.0, 0.0),
+                         yield_loss=YieldLoss.constant(0.03))
+    records = []
+    run_factory(model, 0.0, t_final=1.0, time_axis=TimeAxis(1.0, dt_max=0.05),
+                flux_kind=flux_kind, grid=build_grid(0.0, 1.0, 40),
+                observers=[records.append])
+    return records
+
+
 def cell_residuals(rec, k, tie_sign: float = 0.0):
     """Entropy residual of every cell of a step at the constant(s) k.
 
@@ -346,13 +360,14 @@ class TestBatchedSupremum:
     @pytest.mark.parametrize("case", ["linear", "burgers"])
     def test_one_check_makes_three_flux_calls(self, case, testcase2_records,
                                               monkeypatch):
-        # A flux declared linear is searched at its kink rows only, in one
-        # call. Burgers adds the midpoint and vertex batches; its jump from
-        # -1 to 1 straddles the critical point 0, which adds an eighth k row.
-        n = testcase2_records[5].field_bar.values.size
+        # A flux declared linear is searched at its kink rows only, and
+        # under Godunov with a nonnegative speed those take f(a) directly,
+        # with no call. Burgers adds the midpoint and vertex batches; its
+        # jump from -1 to 1 straddles the critical point 0, which adds an
+        # eighth k row.
         if case == "linear":
             rec = testcase2_records[5]
-            expected = [(2, 2, 7, n)]
+            expected = []
         else:
             rec = expansion_shock_record(godunov(burgers_flux()))
             expected = [(2, 2, 8, 10), (2, 2, 7, 10), (2, 2, 7, 10)]
@@ -370,6 +385,77 @@ class TestBatchedSupremum:
         n = rec.field_bar.values.size
         assert shapes == [(2, 2, 7, n), (2, 2, 6, n), (2, 2, 6, n)]
         assert res == entropy_residual_max(rec, rec.fluxdesc, rec.src)
+
+    @pytest.mark.parametrize("fluxdesc", [
+        lax_friedrichs(linear_flux(0.72), viscosity=1.0),
+        engquist_osher(linear_flux(0.72)),
+        godunov(linear_flux(-0.5)),
+    ], ids=["lax-friedrichs", "engquist-osher", "godunov-backward"])
+    def test_other_linear_fluxes_keep_one_flux_call(self, fluxdesc,
+                                                   monkeypatch):
+        # Only upwind-linear, and Godunov with a nonnegative speed, reduce
+        # F(a, b) to f(a); any other flux declared linear evaluates its kink
+        # rows (five states, lo - 1, hi + 1) through eval_flux.
+        rec = expansion_shock_record(fluxdesc)
+        shapes, _ = flux_call_shapes(monkeypatch, rec, fluxdesc)
+        assert shapes == [(2, 2, 7, 10)]
+
+    @pytest.mark.parametrize("fluxdesc", [
+        upwind_linear(linear_flux(0.72)),
+        godunov(linear_flux(0.72)),
+        upwind_linear(linear_flux(0.0)),
+        godunov(zero_flux()),
+    ], ids=["upwind", "godunov", "upwind-speed-0", "godunov-zero"])
+    def test_direct_rows_equal_the_flux_call_rows(self, fluxdesc, monkeypatch):
+        # On the decaying step, where the search may differ from the
+        # sequential one by rounding, f(a) taken directly still gives the
+        # very result of the rows evaluated through eval_flux.
+        records = []
+        burgers_shock_run(observers=[records.append], fluxdesc=fluxdesc)
+        assert records
+        direct = [entropy_residual_max(rec, rec.fluxdesc, rec.src)
+                  for rec in records]
+        monkeypatch.setattr(splitfv.diagnostics, "_is_upwind",
+                            lambda desc: False)
+        assert [entropy_residual_max(rec, rec.fluxdesc, rec.src)
+                for rec in records] == direct
+
+    @pytest.mark.parametrize("flux", [
+        upwind_linear(linear_flux(0.0)), godunov(zero_flux()),
+        "upwind-linear", "godunov",
+    ], ids=["upwind-speed-0", "godunov-zero", "empty-line-upwind",
+            "empty-line-godunov"])
+    def test_zero_flux_steps_equal_the_sequential_search(self, flux):
+        # With f = 0 every entropy flux is a difference of zeros, and on an
+        # empty line with no influx (flux given by kind) every state is an
+        # exact zero too: there only the sign of a zero could tell f(a)
+        # taken directly from eval_flux's Godunov minimum, and == does not
+        # see it.
+        if isinstance(flux, str):
+            records = empty_line_records(flux)
+            assert not np.any(records[-1].field_after.values)
+        else:
+            records = []
+            burgers_shock_run(observers=[records.append], fluxdesc=flux)
+        assert records
+        for rec in records:
+            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            assert (res.max_residual, res.cell_index, res.k_value) \
+                == one_sided_supremum(rec), rec.t_before
+
+    @pytest.mark.parametrize("direct", [True, False])
+    @pytest.mark.parametrize("ghosts", [(np.inf, 0.0), (0.0, np.nan)])
+    def test_non_finite_states_are_refused(self, ghosts, direct,
+                                           testcase2_records, monkeypatch):
+        # The right ghost enters only as a right state, which f(a) taken
+        # directly never evaluates; the refusal must not depend on that.
+        rec = dataclasses.replace(testcase2_records[5], ghost_left=ghosts[0],
+                                  ghost_right=ghosts[1])
+        if not direct:
+            monkeypatch.setattr(splitfv.diagnostics, "_is_upwind",
+                                lambda desc: False)
+        with pytest.raises(ValueError, match="non-finite"):
+            entropy_residual_max(rec, rec.fluxdesc, rec.src)
 
     @pytest.mark.parametrize("tie_sign", [0.0, 1.0, -1.0])
     @pytest.mark.parametrize("flux_kind", ["upwind-linear", "godunov"])

@@ -276,6 +276,34 @@ class TestLinearSink:
         assert len(rescued) == 9  # every cell but the empty one
         assert_allclose(w, undeclared, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("q,iterates", [
+        (1.0 - 1e-9, False), (0.8, False), (0.7, True), (3e-4, True),
+    ])
+    def test_iterates_only_where_the_budget_can_settle(self, q, iterates,
+                                                       monkeypatch):
+        # The iteration shrinks the error by up to q = lipschitz_u * dt a
+        # pass, so 100 passes settle it only when q^100 <= 1e-12, below
+        # q = 0.7586. Above that a linear sink takes the closed form with
+        # no pass; at the source-stage dt limit all 100 used to run first.
+        passes = []
+        iterate = source_module._fixed_point
+
+        def counted(u0, dt, g):
+            def g_counted(w):
+                passes.append(1)
+                return g(w)
+            return iterate(u0, dt, g_counted)
+
+        monkeypatch.setattr(source_module, "_fixed_point", counted)
+        rate = 20.0
+        dt = q / rate
+        u = np.linspace(0.0, 2.0, 200)
+        x = np.linspace(0.0, 1.0, 200)
+        w = implicit_source_step(u, x, 0.0, dt, proportional_decay(rate))
+        assert bool(passes) == iterates
+        assert len(passes) < 100
+        assert np.abs(w - u + dt * rate * w).max() <= 1e-12
+
 
 class TestPropertyVerification:
     def probes(self):
