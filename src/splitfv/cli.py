@@ -44,8 +44,6 @@ from .factory import (
     steady_density,
     transport_descriptor,
     step_influx,
-    velocity,
-    wip,
 )
 from .flux import check_monotone, eval_flux
 from .mesh import TimeAxis, build_grid
@@ -193,7 +191,6 @@ class SimulationSetup:
     initial_density: float
     flux_kind: str
     n_cells: int
-    t_final: float
     time_axis: TimeAxis
     snapshot_times: list[float]
     output_dir: Path
@@ -304,7 +301,6 @@ def build_setup(cfg: dict[str, str]) -> SimulationSetup:
         initial_density=initial_density,
         flux_kind=flux_kind,
         n_cells=n_cells,
-        t_final=t_final,
         time_axis=axis,
         snapshot_times=snapshot_times,
         output_dir=Path(cfg.get("output_dir", "out")),
@@ -380,7 +376,7 @@ def _write_snapshots(setup: SimulationSetup, report: RunReport) -> list[Path]:
 def _run_setup(setup: SimulationSetup, observers=()) -> RunReport:
     grid = build_grid(0.0, 1.0, setup.n_cells)
     return run_factory(
-        setup.model, setup.initial_density, setup.t_final, setup.time_axis,
+        setup.model, setup.initial_density, setup.time_axis,
         flux_kind=setup.flux_kind,
         observers=observers,
         checkpoint_times=setup.snapshot_times,
@@ -402,12 +398,10 @@ def mode_simulate(setup: SimulationSetup) -> int:
     print(f"wrote {ts_path} ({n_rows} rows)")
     for path in _write_snapshots(setup, report):
         print(f"wrote {path}")
-    final = report.final_field
-    w = wip(final)
-    v = velocity(w, setup.model)
+    last = {name: series[-1] for name, series in report.channels.items()}
     print(
-        f"final state: t={final.time:.6g} wip={w:.6g} velocity={v:.6g} "
-        f"outflux={v * final.values[-1]:.6g}"
+        f"final state: t={report.times[-1]:.6g} wip={last['wip']:.6g} "
+        f"velocity={last['velocity']:.6g} outflux={last['outflux']:.6g}"
     )
     print(f"steps: {report.n_steps}, working-range exits: {report.range_exits}")
     return 0
@@ -454,7 +448,7 @@ def mode_verify(setup: SimulationSetup) -> int:
     src_report = verify_source_properties(
         src,
         x_probes=np.linspace(0.0, 1.0, 21),
-        t_probes=np.linspace(0.0, setup.t_final, 5),
+        t_probes=np.linspace(0.0, setup.time_axis.t_final, 5),
         u_probes=np.linspace(lo, hi, 17),
     )
     add("source-lipschitz", src_report.lipschitz_ok,
@@ -478,7 +472,7 @@ def mode_verify(setup: SimulationSetup) -> int:
         growth_const=src.lipschitz_u,
         dt_cap=dt_cap,
         source_tv_l1=(
-            setup.model.yield_loss.rate_tv() * u_hi * setup.t_final
+            setup.model.yield_loss.rate_tv() * u_hi * setup.time_axis.t_final
         ),
     )
     for result in (check_linf_bound(report, cfg), check_tv_bound(report, cfg)):
@@ -584,10 +578,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return mode_simulate(setup)
         # The run takes no step when t_final is within 1e-12 of its start
         # at 0, and then verify has no step to check.
-        if setup.t_final <= 1e-12:
+        if setup.time_axis.t_final <= 1e-12:
             raise ConfigError(
                 f"key 't_final': verify needs a run of at least one step, "
-                f"got t_final = {setup.t_final:g} (must exceed 1e-12)"
+                f"got t_final = {setup.time_axis.t_final:g} (must exceed 1e-12)"
             )
         return mode_verify(setup)
     except ConfigError as exc:

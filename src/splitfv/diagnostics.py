@@ -16,12 +16,12 @@ only entropy check, takes the supremum over k by evaluating every piece at
 its endpoints, midpoint and fitted parabola vertex, which is exhaustive for
 linear and quadratic fluxes. For a flux declared linear (PhysicalFlux.linear)
 the endpoints alone are searched: a linear piece peaks at one of them.
-When, in addition, the numerical flux is upwind-linear or Godunov and the
-speed f(1) is nonnegative, F(a, b) is f(a) to the float, so G reduces to
-f(max(s, k)) - f(min(s, k)) at the upwind state s and the check makes no
-numerical flux call at all. At k = ubar_j, where the source term's sign
-jumps, the residual is taken as the larger of its two one-sided limits, so
-no tie convention enters.
+When, in addition, F(a, b) is f(a) (flux._is_upwind: upwind-linear, or
+Godunov with f(1) >= 0), G reduces to f(max(s, k)) - f(min(s, k)) at the
+upwind state s and the check makes no numerical flux call at all. The
+check reads the flux and the source from the step's record. At k = ubar_j,
+where the source term's sign jumps, the residual is taken as the larger of
+its two one-sided limits, so no tie convention enters.
 
 Stability: the split scheme keeps the sup norm and the total variation
 under exponential-in-time envelopes whose rate is
@@ -37,8 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flux import NumericalFluxDescriptor, critical_points, eval_flux
-from .source import SourceDescriptor
+from .flux import NumericalFluxDescriptor, _is_upwind, critical_points, eval_flux
 from .splitting import RunReport, StepRecord
 
 
@@ -75,17 +74,7 @@ class EntropyCheckResult:
         return self.max_residual <= self.tolerance
 
 
-def _is_upwind(fluxdesc: NumericalFluxDescriptor) -> bool:
-    """Whether F(a, b) is f(a) to the float: upwind-linear by definition,
-    and Godunov for a flux declared linear with f(1) >= 0, whose rounded
-    values are nondecreasing in u, so the min or max over [a, b] is f(a)."""
-    return (fluxdesc.physical.linear
-            and fluxdesc.kind in ("upwind-linear", "godunov")
-            and fluxdesc.physical.eval(1.0) >= 0.0)
-
-
-def _residual_rows(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
-                   ext: np.ndarray, k_rows: np.ndarray,
+def _residual_rows(rec: StepRecord, ext: np.ndarray, k_rows: np.ndarray,
                    source_values: np.ndarray) -> np.ndarray:
     """Residual of every cell for each row of per-cell k values, shape (rows, n).
 
@@ -106,6 +95,7 @@ def _residual_rows(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     # Leading axis: right interface (bar_j, bar_{j+1}), left (bar_{j-1}, bar_j);
     # a holds each interface's left state, the upwind one when F(a, b) = f(a).
     a = np.stack([ext[1:-1], ext[:-2]])[:, None, :]
+    fluxdesc = rec.fluxdesc
     if _is_upwind(fluxdesc):
         if not (np.isfinite(ext).all() and np.isfinite(k_rows).all()):
             raise ValueError("non-finite state passed to the entropy check")
@@ -121,16 +111,16 @@ def _residual_rows(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
             - s * rec.dt * source_values)
 
 
-def _source_values(rec: StepRecord, src: SourceDescriptor) -> np.ndarray:
+def _source_values(rec: StepRecord) -> np.ndarray:
     x = rec.field_before.grid.cell_centers
     return np.asarray(
-        src.eval(x, rec.t_before, rec.field_bar.values), dtype=float
+        rec.src.eval(x, rec.t_before, rec.field_bar.values), dtype=float
     )
 
 
-def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
-                         src: SourceDescriptor) -> EntropyCheckResult:
-    """Per-cell supremum of the residual over every entropy constant k.
+def entropy_residual_max(rec: StepRecord) -> EntropyCheckResult:
+    """Per-cell supremum of the residual over every entropy constant k, for
+    the flux and source of the record (rec.fluxdesc, rec.src).
 
     Cell j's residual is piecewise smooth in k. Its kinks sit at the five
     values entering the inequality (u_j, u_j^+, ubar_{j-1}, ubar_j,
@@ -153,8 +143,8 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     eval_flux call. Every piece is then linear in k, so its midpoint and
     vertex lie between its endpoint values; as rows rank first, they could
     change the result only by rounding above both ends. If the numerical
-    flux is also upwind-linear, or Godunov with f(1) >= 0, F(a, b) is f(a),
-    and the rows take no eval_flux call: G(a, b; k) is
+    flux is also upwind-linear, or Godunov with f(1) >= 0, F(a, b) is f(a)
+    (flux._is_upwind), and the rows take no eval_flux call: G(a, b; k) is
     f(max(a, k)) - f(min(a, k)), the same floats.
 
     The source term's sign jumps at k = ubar_j. The row there takes the
@@ -163,7 +153,8 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     there too. The result passes when it is at most 1e-10 times the step's
     largest state magnitude before or after the step (at least 1).
     """
-    gsrc = _source_values(rec, src)
+    fluxdesc = rec.fluxdesc
+    gsrc = _source_values(rec)
     bar = rec.field_bar.values
     n = bar.size
     ext = np.concatenate([[rec.ghost_left], bar, [rec.ghost_right]])
@@ -181,7 +172,7 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     for c in critical_points(fluxdesc.physical, float(lo.min()), float(hi.max())):
         rows.append(np.full((1, n), c))
     k_rows = np.sort(np.vstack(rows), axis=0)
-    r_rows = _residual_rows(rec, fluxdesc, ext, k_rows, gsrc)
+    r_rows = _residual_rows(rec, ext, k_rows, gsrc)
     if fluxdesc.physical.linear:
         return _worst_candidate(r_rows, k_rows, tolerance, rec.t_before)
 
@@ -190,14 +181,14 @@ def entropy_residual_max(rec: StepRecord, fluxdesc: NumericalFluxDescriptor,
     half = 0.5 * (k2 - k1)
     live = half > 1e-13 * np.maximum(1.0, np.abs(k1) + np.abs(k2))
     km = k1 + half
-    rm = _residual_rows(rec, fluxdesc, ext, km, gsrc)
+    rm = _residual_rows(rec, ext, km, gsrc)
     # Parabola through (k1, r1), (km, rm), (k2, r2): an interior maximum
     # exists only where the middle sample arches upward.
     arch = r1 - 2.0 * rm + r2
     shift = np.zeros_like(km)
     np.divide(-half * (r2 - r1), 2.0 * arch, out=shift, where=live & (arch < 0.0))
     kv = km + np.clip(shift, -half, half)
-    rv = _residual_rows(rec, fluxdesc, ext, kv, gsrc)
+    rv = _residual_rows(rec, ext, kv, gsrc)
     dead = ~np.any(live, axis=1)
     rm[dead] = -np.inf
     rv[dead] = -np.inf
@@ -235,7 +226,7 @@ class EntropyObserver:
         self.results: list[EntropyCheckResult] = []
 
     def __call__(self, rec: StepRecord) -> None:
-        self.results.append(entropy_residual_max(rec, rec.fluxdesc, rec.src))
+        self.results.append(entropy_residual_max(rec))
 
     @property
     def worst(self) -> EntropyCheckResult:

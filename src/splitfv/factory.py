@@ -289,12 +289,12 @@ def transport_descriptor(speed: float, flux_kind: str) -> NumericalFluxDescripto
 
 
 def run_factory(model: FactoryModel, initial: CellField | float,
-                t_final: float, time_axis: TimeAxis,
+                time_axis: TimeAxis,
                 flux_kind: str = "upwind-linear",
                 observers: Iterable[Callable[[StepRecord], None]] = (),
                 checkpoint_times: Sequence[float] = (),
                 grid: Grid1D | None = None) -> RunReport:
-    """March the factory model to t_final, refreezing the speed every step.
+    """March the model to time_axis.t_final, refreezing the speed every step.
 
     `initial` is either a CellField on [0, 1] or a uniform density (a grid
     is then required). The report gains channels 'wip', 'velocity',
@@ -359,7 +359,7 @@ def run_factory(model: FactoryModel, initial: CellField | float,
         }
 
     return march(
-        field0, t_final, pick_dt, src, bc, flux_for,
+        field0, time_axis.t_final, pick_dt, src, bc, flux_for,
         observers=observers,
         checkpoint_times=checkpoint_times,
         channels=channels,

@@ -25,10 +25,11 @@ them no search runs. Other fluxes are searched by a slope scan and
 bisection on every Godunov or Engquist-Osher call.
 
 A physical flux may also declare itself linear, f(u) = f(1) * u, as
-linear_flux and zero_flux do. upwind-linear accepts only such a flux, and
-the entropy check (diagnostics.entropy_residual_max) reads the declaration
-to search k at the kinks of the residual alone and, under upwind-linear or
-Godunov with f(1) >= 0, to take F(a, b) = f(a) without calling eval_flux.
+linear_flux and zero_flux do. upwind-linear accepts only such a flux. On
+one with f(1) >= 0 Godunov is upwind to the float (_is_upwind): rounded f is
+nondecreasing, so its min or max over [a, b] is f(a), which eval_flux and
+the entropy check (diagnostics.entropy_residual_max) take directly. The
+check also reads the declaration to search k at the residual's kinks alone.
 An undeclared flux is never treated as linear, whatever its shape.
 
 The viscosity alpha of lax-friedrichs must reach sup|f'| over the working
@@ -262,10 +263,20 @@ def _engquist_osher_eval(phys: PhysicalFlux, a: np.ndarray, b: np.ndarray) -> np
     return phys.eval(0.0) + np.sign(a) * pos + np.sign(b) * neg
 
 
+def _is_upwind(desc: NumericalFluxDescriptor) -> bool:
+    """Whether F(a, b) is f(a) to the float: upwind-linear, or Godunov on a
+    flux declared linear with f(1) >= 0."""
+    return desc.kind == "upwind-linear" or (
+        desc.kind == "godunov" and desc.physical.linear
+        and desc.physical.eval(1.0) >= 0.0)
+
+
 def eval_flux(desc: NumericalFluxDescriptor, a, b):
     """Evaluate the numerical flux at interface states (a, b).
 
     Accepts scalars or equally shaped numpy arrays; returns the same shape.
+    Where F(a, b) is f(a) (_is_upwind) it returns f(a), with no extremum
+    pass: Godunov's values up to the sign of an exact zero.
     """
     scalar = (np.isscalar(a) or np.ndim(a) == 0) and (np.isscalar(b) or np.ndim(b) == 0)
     aa = np.atleast_1d(np.asarray(a, dtype=float))
@@ -275,7 +286,7 @@ def eval_flux(desc: NumericalFluxDescriptor, a, b):
     if not (np.isfinite(aa).all() and np.isfinite(bb).all()):
         raise ValueError("non-finite interface state passed to eval_flux")
     phys = desc.physical
-    if desc.kind == "upwind-linear":
+    if _is_upwind(desc):
         out = phys.eval(aa)
     elif desc.kind == "lax-friedrichs":
         out = 0.5 * (phys.eval(aa) + phys.eval(bb)) - 0.5 * desc.viscosity * (bb - aa)

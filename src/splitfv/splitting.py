@@ -115,13 +115,14 @@ class BoundarySpec:
         return cls("influx", "outflow", _as_schedule(influx))
 
 
-def fill_ghosts(field_bar: CellField, bc: BoundarySpec, t: float,
+def fill_ghosts(field_bar: CellField, bc: BoundarySpec,
                 flux: PhysicalFlux | None = None) -> tuple[float, float]:
-    """Ghost cell values flanking the post-source field at time t.
+    """Ghost cell values flanking the post-source field at its time.
 
     An influx ghost is the rate divided by the speed f(1) of `flux`, which
     must be declared linear; any other flux is refused (ValueError).
     """
+    t = field_bar.time
     if bc.left_kind == "dirichlet":
         ghost_left = float(bc.left_schedule(t))
     else:
@@ -190,7 +191,7 @@ def transport_stage(field_bar: CellField, dt: float,
     t = field_bar.time
     dx = field_bar.grid.dx
     values = field_bar.values
-    ghost_left, ghost_right = fill_ghosts(field_bar, bc, t, fluxdesc.physical)
+    ghost_left, ghost_right = fill_ghosts(field_bar, bc, fluxdesc.physical)
     ext = np.concatenate(([ghost_left], values, [ghost_right]))
     L = flux_lipschitz(fluxdesc, float(ext.min()), float(ext.max()))
     if dt * L / dx > 1.0 + _CFL_MARGIN:
@@ -353,8 +354,11 @@ def march(initial: CellField, t_final: float,
     channels, when given, maps the initial field and every step's result to
     named values, appended to report.channels before the observers run.
     Observers see every step's StepRecord, in order; they are the one
-    route to per-step output beyond the report's series.
+    route to per-step output beyond the report's series. A non-finite
+    t_final is refused (ValueError).
     """
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < initial.time:
         raise ValueError(f"t_final={t_final} precedes the initial time {initial.time}")
     observers = tuple(observers)
@@ -400,11 +404,11 @@ def march(initial: CellField, t_final: float,
     return report
 
 
-def run(initial: CellField, t_final: float, fluxdesc: NumericalFluxDescriptor,
+def run(initial: CellField, fluxdesc: NumericalFluxDescriptor,
         src: SourceDescriptor, bc: BoundarySpec, time_axis: TimeAxis,
         observers: Iterable[Callable[[StepRecord], None]] = (),
         checkpoint_times: Sequence[float] = ()) -> RunReport:
-    """March a fixed-flux problem from the initial field to t_final.
+    """March a fixed-flux problem from the initial field to time_axis.t_final.
 
     dt is the CFL step of the current field, capped by time_axis.dt_max
     and by the source stage's contraction limit.
@@ -417,7 +421,7 @@ def run(initial: CellField, t_final: float, fluxdesc: NumericalFluxDescriptor,
         return max_dt(fluxdesc, field, cfl_number, dt_cap)
 
     return march(
-        initial, t_final, pick_dt, src, bc, lambda bar: fluxdesc,
+        initial, time_axis.t_final, pick_dt, src, bc, lambda bar: fluxdesc,
         observers=observers,
         checkpoint_times=checkpoint_times,
     )

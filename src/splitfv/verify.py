@@ -238,8 +238,8 @@ def solve_on_grid(problem: TestProblem, n_cells: int, cfl_number: float = 0.9,
     if entropy_check:
         entropy = EntropyObserver()
         observers.append(entropy)
-    report = run(initial, problem.t_final, problem.fluxdesc(), problem.source,
-                 bc, axis, observers=observers)
+    report = run(initial, problem.fluxdesc(), problem.source, bc, axis,
+                 observers=observers)
     entropy_max = None
     if entropy is not None and entropy.results:
         entropy_max = max(r.max_residual for r in entropy.results)

@@ -81,11 +81,11 @@ def hold_run():
                          yield_loss=YieldLoss.none())
     axis = TimeAxis(2.0, dt_max=0.1)
     started = time.perf_counter()
-    run_factory(model, 2.8, 2.0, axis, grid=GRID)
+    run_factory(model, 2.8, axis, grid=GRID)
     bare_seconds = time.perf_counter() - started
     entropy = EntropyObserver()
     invariance = InvarianceTracker()
-    report = run_factory(model, 2.8, 2.0, axis, grid=GRID,
+    report = run_factory(model, 2.8, axis, grid=GRID,
                          observers=(entropy, invariance))
     return dict(report=report, entropy=entropy, invariance=invariance,
                 bare_seconds=bare_seconds, growth_const=0.0,
@@ -102,10 +102,10 @@ def jump_run():
     )
     axis = TimeAxis(50.0, dt_max=0.1)
     started = time.perf_counter()
-    run_factory(model, 2.8, 50.0, axis, grid=GRID)
+    run_factory(model, 2.8, axis, grid=GRID)
     bare_seconds = time.perf_counter() - started
     entropy = EntropyObserver()
-    report = run_factory(model, 2.8, 50.0, axis, grid=GRID,
+    report = run_factory(model, 2.8, axis, grid=GRID,
                          observers=(entropy,))
     return dict(report=report, entropy=entropy, bare_seconds=bare_seconds,
                 growth_const=0.0, dt_cap=axis.dt_max)
@@ -118,7 +118,7 @@ def yield_run():
                          yield_loss=YieldLoss.constant(0.03))
     axis = TimeAxis(50.0, dt_max=0.1)
     entropy = EntropyObserver()
-    report = run_factory(model, 2.8, 50.0, axis, grid=GRID,
+    report = run_factory(model, 2.8, axis, grid=GRID,
                          observers=(entropy,))
     return dict(report=report, entropy=entropy, growth_const=0.03,
                 dt_cap=axis.dt_max)
@@ -130,7 +130,7 @@ def riemann_with_decay(fluxdesc, t_final: float):
     axis = TimeAxis(t_final, dt_max=0.05)
     entropy = EntropyObserver()
     report = run(
-        CellField(grid, values), t_final, fluxdesc,
+        CellField(grid, values), fluxdesc,
         proportional_decay(0.1), BoundarySpec.dirichlet_pair(1.0, 0.0),
         axis, observers=(entropy,),
     )
@@ -151,7 +151,7 @@ def preset_pair():
     for name in ("testcase1", "testcase2"):
         scenario = preset_scenario(name)
         out[name] = run_factory(scenario.model, scenario.initial_density,
-                                100.0, TimeAxis(100.0, dt_max=0.1), grid=GRID)
+                                TimeAxis(100.0, dt_max=0.1), grid=GRID)
     return out
 
 

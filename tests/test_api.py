@@ -1,12 +1,19 @@
-"""Guards on the package's public names."""
+"""Guards on the package's public names, signatures and README example."""
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import importlib
+import inspect
+import io
+import re
+from pathlib import Path
 
 import pytest
 
 import splitfv
+import splitfv.cli
 import splitfv.diagnostics
 
 # Names that left splitfv.__all__ but stay importable from their modules.
@@ -49,3 +56,27 @@ def test_module_only_names_import_from_their_home(name):
     assert name not in splitfv.__all__
     module = importlib.import_module(f"splitfv.{MODULE_ONLY[name]}")
     assert getattr(module, name) is not None
+
+
+@pytest.mark.parametrize("fn", [splitfv.run, splitfv.run_factory,
+                                splitfv.fill_ghosts])
+def test_drivers_read_the_time_from_one_place(fn):
+    # The horizon lives in TimeAxis, the ghosts' time in the field.
+    assert not {"t", "t_final"} & set(inspect.signature(fn).parameters)
+
+
+def test_each_input_has_one_home():
+    fields = {f.name for f in dataclasses.fields(splitfv.cli.SimulationSetup)}
+    assert "t_final" not in fields
+    assert list(inspect.signature(splitfv.entropy_residual_max).parameters) \
+        == ["rec"]
+
+
+def test_readme_example_prints_the_value_in_its_comment():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    commented = float(re.search(r"#\s*~([0-9.]+)", block).group(1))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert abs(float(out.getvalue()) - commented) <= 5e-5

@@ -76,7 +76,7 @@ class TestBuildSetup:
         setup = build_setup({})
         assert setup.flux_kind == "upwind-linear"
         assert setup.n_cells == 200
-        assert setup.t_final == 5.0
+        assert setup.time_axis.t_final == 5.0
         assert setup.time_axis.dt_max == 0.1
         assert setup.time_axis.cfl_number == 0.9
         assert setup.snapshot_times == [5.0]
@@ -516,7 +516,7 @@ def test_random_line_config_is_refused_or_runs_cleanly(text):
     states = []
     entropy = EntropyObserver()
     report = run_factory(
-        setup.model, setup.initial_density, setup.t_final, setup.time_axis,
+        setup.model, setup.initial_density, setup.time_axis,
         flux_kind=setup.flux_kind,
         observers=[lambda rec: states.append(rec.field_after.values), entropy],
         grid=build_grid(0.0, 1.0, setup.n_cells),

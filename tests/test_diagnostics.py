@@ -39,6 +39,7 @@ from splitfv import (
     zero_source,
 )
 import splitfv.diagnostics
+import splitfv.flux
 from splitfv.flux import critical_points, eval_flux, flux_lipschitz
 
 
@@ -49,7 +50,7 @@ def burgers_shock_run(n_cells: int = 48, t_final: float = 0.35,
     values = np.where(grid.cell_centers < 0.25, 1.0, 0.0)
     field = CellField(grid, values)
     return run(
-        field, t_final,
+        field,
         fluxdesc=fluxdesc or godunov(burgers_flux()),
         src=proportional_decay(0.1),
         bc=BoundarySpec.dirichlet_pair(1.0, 0.0),
@@ -135,7 +136,7 @@ class TestEntropyResidual:
             ]))
             k = np.concatenate([values, [values[0] - 0.1, values[-1] + 0.1]])
             probed = float(np.max(cell_residuals(rec, k[:, None])))
-            exact = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            exact = entropy_residual_max(rec)
             assert exact.max_residual >= probed - 1e-12
 
     @pytest.mark.parametrize("tie_sign", [0.0, 1.0, -1.0])
@@ -145,7 +146,7 @@ class TestEntropyResidual:
         records = []
         burgers_shock_run(observers=[records.append])
         for rec in records:
-            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            res = entropy_residual_max(rec)
             assert res.passed, (rec.t_before, res.max_residual)
             larger, _, _ = one_sided_supremum(rec)
             assert res.max_residual == pytest.approx(larger, rel=1e-12)
@@ -160,13 +161,13 @@ class TestEntropyResidual:
         grid = build_grid(0.0, 1.0, 48)
         field = CellField(grid, np.where(grid.cell_centers < 0.5, 1.0, 0.0))
         records = []
-        run(field, 0.2, fluxdesc=lax_friedrichs(linear_flux(0.72), 0.0),
+        run(field, fluxdesc=lax_friedrichs(linear_flux(0.72), 0.0),
             src=proportional_decay(0.5),
             bc=BoundarySpec.dirichlet_pair(1.0, 0.0),
             time_axis=TimeAxis(0.2, dt_max=0.1), observers=[records.append])
         assert records
         for rec in records:
-            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            res = entropy_residual_max(rec)
             bar = rec.field_bar.values
             for sign in (1.0, -1.0):
                 at_bar = float(np.max(cell_residuals(rec, bar, sign)))
@@ -175,8 +176,7 @@ class TestEntropyResidual:
     def test_result_reports_location(self):
         records = []
         burgers_shock_run(observers=[records.append])
-        res = entropy_residual_max(records[0], records[0].fluxdesc,
-                                   records[0].src)
+        res = entropy_residual_max(records[0])
         assert 0 <= res.cell_index < 48
         assert np.isfinite(res.k_value)
         assert res.t_before == records[0].t_before
@@ -217,7 +217,7 @@ def line_records(preset: str, flux_kind: str):
     """Steps of a preset line (linear flux) on 40 cells to t = 1."""
     scenario = preset_scenario(preset)
     records = []
-    run_factory(scenario.model, scenario.initial_density, t_final=1.0,
+    run_factory(scenario.model, scenario.initial_density,
                 time_axis=TimeAxis(1.0, dt_max=0.05), flux_kind=flux_kind,
                 grid=build_grid(0.0, 1.0, 40), observers=[records.append])
     return records
@@ -235,7 +235,7 @@ def empty_line_records(flux_kind: str):
     model = FactoryModel(v0=1.0, max_load=10.0, influx=step_influx(0.0, 0.0),
                          yield_loss=YieldLoss.constant(0.03))
     records = []
-    run_factory(model, 0.0, t_final=1.0, time_axis=TimeAxis(1.0, dt_max=0.05),
+    run_factory(model, 0.0, time_axis=TimeAxis(1.0, dt_max=0.05),
                 flux_kind=flux_kind, grid=build_grid(0.0, 1.0, 40),
                 observers=[records.append])
     return records
@@ -334,7 +334,7 @@ class TestBatchedSupremum:
         # The reference is the larger of the +1 and -1 sign conventions at
         # k = ubar_j; the search under tie_sign never exceeds it.
         for rec in request.getfixturevalue(records):
-            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            res = entropy_residual_max(rec)
             max_residual, cell, k_value = one_sided_supremum(rec)
             assert res.max_residual == pytest.approx(max_residual, rel=1e-12)
             assert res.cell_index == cell
@@ -352,7 +352,7 @@ class TestBatchedSupremum:
         assert len(records) == n_steps
         for step, max_residual, cell, k_value in pins:
             rec = records[step]
-            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            res = entropy_residual_max(rec)
             assert res.max_residual == pytest.approx(max_residual, rel=1e-12), step
             assert res.cell_index == cell, step
             assert res.k_value == pytest.approx(k_value, rel=1e-12), step
@@ -384,7 +384,7 @@ class TestBatchedSupremum:
         shapes, res = flux_call_shapes(monkeypatch, rec, undeclared)
         n = rec.field_bar.values.size
         assert shapes == [(2, 2, 7, n), (2, 2, 6, n), (2, 2, 6, n)]
-        assert res == entropy_residual_max(rec, rec.fluxdesc, rec.src)
+        assert res == entropy_residual_max(rec)
 
     @pytest.mark.parametrize("fluxdesc", [
         lax_friedrichs(linear_flux(0.72), viscosity=1.0),
@@ -409,16 +409,17 @@ class TestBatchedSupremum:
     def test_direct_rows_equal_the_flux_call_rows(self, fluxdesc, monkeypatch):
         # On the decaying step, where the search may differ from the
         # sequential one by rounding, f(a) taken directly still gives the
-        # very result of the rows evaluated through eval_flux.
+        # very result of the rows evaluated through eval_flux, with Godunov
+        # taking its extremum pass there.
         records = []
         burgers_shock_run(observers=[records.append], fluxdesc=fluxdesc)
         assert records
-        direct = [entropy_residual_max(rec, rec.fluxdesc, rec.src)
-                  for rec in records]
+        direct = [entropy_residual_max(rec) for rec in records]
         monkeypatch.setattr(splitfv.diagnostics, "_is_upwind",
                             lambda desc: False)
-        assert [entropy_residual_max(rec, rec.fluxdesc, rec.src)
-                for rec in records] == direct
+        monkeypatch.setattr(splitfv.flux, "_is_upwind",
+                            lambda desc: desc.kind == "upwind-linear")
+        assert [entropy_residual_max(rec) for rec in records] == direct
 
     @pytest.mark.parametrize("flux", [
         upwind_linear(linear_flux(0.0)), godunov(zero_flux()),
@@ -439,7 +440,7 @@ class TestBatchedSupremum:
             burgers_shock_run(observers=[records.append], fluxdesc=flux)
         assert records
         for rec in records:
-            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            res = entropy_residual_max(rec)
             assert (res.max_residual, res.cell_index, res.k_value) \
                 == one_sided_supremum(rec), rec.t_before
 
@@ -455,7 +456,7 @@ class TestBatchedSupremum:
             monkeypatch.setattr(splitfv.diagnostics, "_is_upwind",
                                 lambda desc: False)
         with pytest.raises(ValueError, match="non-finite"):
-            entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            entropy_residual_max(rec)
 
     @pytest.mark.parametrize("tie_sign", [0.0, 1.0, -1.0])
     @pytest.mark.parametrize("flux_kind", ["upwind-linear", "godunov"])
@@ -470,7 +471,7 @@ class TestBatchedSupremum:
         records = line_records(preset, flux_kind)
         assert records and records[0].fluxdesc.physical.linear
         for rec in records:
-            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            res = entropy_residual_max(rec)
             reference = one_sided_supremum(rec)
             assert (res.max_residual, res.cell_index, res.k_value) \
                 == reference, rec.t_before
@@ -503,7 +504,7 @@ class TestBatchedSupremum:
         burgers_shock_run(observers=[records.append], fluxdesc=fluxdesc)
         assert records and fluxdesc.physical.linear
         for rec in records:
-            res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+            res = entropy_residual_max(rec)
             max_residual, _, _ = one_sided_supremum(rec)
             assert res.max_residual <= max_residual, rec.t_before
             assert max_residual - res.max_residual <= rounding_gap(rec), \
@@ -555,7 +556,7 @@ def flux_call_shapes(monkeypatch, rec, fluxdesc):
         return eval_flux(desc, a, b)
 
     monkeypatch.setattr(splitfv.diagnostics, "eval_flux", counting)
-    res = entropy_residual_max(rec, fluxdesc, rec.src)
+    res = entropy_residual_max(dataclasses.replace(rec, fluxdesc=fluxdesc))
     monkeypatch.undo()
     return shapes, res
 
@@ -597,7 +598,7 @@ def assert_dominates_dense_sweep(rec):
     ])
     k = np.linspace(data.min() - 1.0, data.max() + 1.0, 2001)
     dense = float(np.max(cell_residuals(rec, k[:, None])))
-    exact = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+    exact = entropy_residual_max(rec)
     assert exact.max_residual >= dense - 1e-12, (
         rec.t_before, exact.max_residual, dense)
     return exact
@@ -610,7 +611,7 @@ class TestExpansionShock:
         rec = expansion_shock_record(lax_friedrichs(burgers_flux(), 0.0))
         assert_allclose(rec.field_after.values, rec.field_bar.values,
                         atol=1e-15)
-        res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+        res = entropy_residual_max(rec)
         assert res.max_residual == pytest.approx(0.25, rel=1e-12)
         assert res.k_value == 0.0
         assert not res.passed
@@ -623,7 +624,7 @@ class TestExpansionShock:
         rec = expansion_shock_record(godunov(burgers_flux()))
         assert np.max(np.abs(rec.field_after.values
                              - rec.field_bar.values)) > 0.1
-        res = entropy_residual_max(rec, rec.fluxdesc, rec.src)
+        res = entropy_residual_max(rec)
         assert res.passed
 
 
@@ -639,7 +640,7 @@ class TestEntropyObserver:
         scenario = preset_scenario("testcase1")
         obs = EntropyObserver()
         run_factory(scenario.model, scenario.initial_density,
-                    t_final=1.0, time_axis=TimeAxis(1.0, dt_max=0.05),
+                    time_axis=TimeAxis(1.0, dt_max=0.05),
                     grid=build_grid(0.0, 1.0, 40), observers=[obs])
         assert obs.results
         assert obs.passed
@@ -674,7 +675,7 @@ class TestBoundCheckConfig:
 def factory_run():
     scenario = preset_scenario("testcase1")
     report = run_factory(scenario.model, scenario.initial_density,
-                         t_final=2.0, time_axis=TimeAxis(2.0, dt_max=0.05),
+                         time_axis=TimeAxis(2.0, dt_max=0.05),
                          grid=build_grid(0.0, 1.0, 50))
     cfg = BoundCheckConfig(growth_const=0.03,
                            dt_cap=float(np.max(report.dts)))
@@ -724,7 +725,7 @@ class TestStabilityBounds:
     def test_zero_step_run_is_not_extended(self):
         scenario = preset_scenario("testcase1")
         report = run_factory(scenario.model, scenario.initial_density,
-                             t_final=0.0, time_axis=TimeAxis(1.0),
+                             time_axis=TimeAxis(0.0),
                              grid=build_grid(0.0, 1.0, 20))
         assert report.n_steps == 0
         cfg = BoundCheckConfig(growth_const=0.03, dt_cap=0.05)

@@ -238,12 +238,11 @@ class TestRunFactory:
     def test_uniform_initial_needs_a_grid(self):
         model = basic_model()
         with pytest.raises(ValueError, match="grid"):
-            run_factory(model, 2.8, t_final=0.1, time_axis=TimeAxis(0.1))
+            run_factory(model, 2.8, time_axis=TimeAxis(0.1))
 
     def test_channels_align_with_times(self):
         model = basic_model(2.016, rate=0.03)
-        report = run_factory(model, 2.8, t_final=0.5,
-                             time_axis=TimeAxis(0.5, dt_max=0.05),
+        report = run_factory(model, 2.8, time_axis=TimeAxis(0.5, dt_max=0.05),
                              grid=unit_line(25))
         n = len(report.times)
         assert n == report.n_steps + 1
@@ -259,7 +258,7 @@ class TestRunFactory:
         records = []
         grid = unit_line(50)
         report = run_factory(scenario.model, scenario.initial_density,
-                             t_final=0.8, time_axis=TimeAxis(0.8, dt_max=0.05),
+                             time_axis=TimeAxis(0.8, dt_max=0.05),
                              grid=grid, observers=[records.append])
         assert len(records) == report.n_steps
         x = grid.cell_centers
@@ -279,15 +278,14 @@ class TestRunFactory:
     def test_left_flux_carries_the_influx_rate(self):
         model = basic_model(2.139, rate=0.03)
         records = []
-        run_factory(model, 3.1, t_final=0.4,
-                    time_axis=TimeAxis(0.4, dt_max=0.02),
+        run_factory(model, 3.1, time_axis=TimeAxis(0.4, dt_max=0.02),
                     grid=unit_line(30), observers=[records.append])
         for rec in records:
             assert_allclose(rec.flux_left, 2.139, rtol=1e-12)
 
     def test_flux_kinds_give_identical_runs(self):
         model = basic_model(2.016, rate=0.03)
-        kwargs = dict(t_final=0.3, time_axis=TimeAxis(0.3, dt_max=0.02),
+        kwargs = dict(time_axis=TimeAxis(0.3, dt_max=0.02),
                       grid=unit_line(20))
         rep_up = run_factory(model, 2.8, flux_kind="upwind-linear", **kwargs)
         rep_go = run_factory(model, 2.8, flux_kind="godunov", **kwargs)
@@ -297,8 +295,7 @@ class TestRunFactory:
     def test_step_records_hold_read_only_arrays(self):
         scenario = preset_scenario("testcase2")
         records = []
-        run_factory(scenario.model, scenario.initial_density, t_final=0.2,
-                    time_axis=TimeAxis(0.2, dt_max=0.05), grid=unit_line(20),
+        run_factory(scenario.model, scenario.initial_density, time_axis=TimeAxis(0.2, dt_max=0.05), grid=unit_line(20),
                     observers=[records.append])
         assert records
         for rec in records:
@@ -324,7 +321,7 @@ class TestRunFactory:
     def test_matches_recorded_outputs(self, preset, flux_kind):
         scenario = preset_scenario(preset)
         report = run_factory(scenario.model, scenario.initial_density,
-                             t_final=20.0, time_axis=TimeAxis(20.0),
+                             time_axis=TimeAxis(20.0),
                              flux_kind=flux_kind, grid=unit_line(200))
         got = (report.channels["wip"][-1], report.channels["outflux"][-1],
                float(report.final_field.values.sum()))
@@ -333,7 +330,7 @@ class TestRunFactory:
     def test_unknown_flux_kind_is_rejected(self):
         model = basic_model()
         with pytest.raises(ValueError, match="flux_kind"):
-            run_factory(model, 2.8, t_final=0.1, time_axis=TimeAxis(0.1),
+            run_factory(model, 2.8, time_axis=TimeAxis(0.1),
                         grid=unit_line(10), flux_kind="lax-friedrichs")
 
     def test_overloaded_line_jams(self):
@@ -344,8 +341,7 @@ class TestRunFactory:
                              influx=lambda t: 0.5,
                              yield_loss=YieldLoss.none())
         with pytest.raises(JammedLineError, match="jammed"):
-            run_factory(model, 0.5, t_final=50.0,
-                        time_axis=TimeAxis(50.0, dt_max=0.1),
+            run_factory(model, 0.5, time_axis=TimeAxis(50.0, dt_max=0.1),
                         grid=unit_line(25))
 
     def test_relaxes_to_the_steady_operating_point(self):
@@ -353,7 +349,7 @@ class TestRunFactory:
         scenario = preset_scenario("testcase1")
         target = constant_yield_steady_state(2.139, 0.03)
         report = run_factory(scenario.model, scenario.initial_density,
-                             t_final=30.0, time_axis=TimeAxis(30.0),
+                             time_axis=TimeAxis(30.0),
                              grid=unit_line(60))
         assert_allclose(report.channels["wip"][-1], target.wip, atol=5e-3)
         assert_allclose(report.channels["velocity"][-1], target.velocity,

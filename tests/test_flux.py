@@ -13,8 +13,11 @@ from numpy.testing import assert_allclose
 from splitfv import (
     CellField,
     FLUX_KINDS,
+    FactoryModel,
     NumericalFluxDescriptor,
     PhysicalFlux,
+    TimeAxis,
+    YieldLoss,
     build_grid,
     burgers_flux,
     check_monotone,
@@ -25,10 +28,12 @@ from splitfv import (
     lax_friedrichs,
     linear_flux,
     max_dt,
+    run_factory,
+    step_influx,
     upwind_linear,
     zero_flux,
 )
-from splitfv.flux import critical_points
+from splitfv.flux import _godunov_eval, critical_points
 
 
 def cubic_flux() -> PhysicalFlux:
@@ -262,8 +267,9 @@ FLAT_FLUXES = [lambda: linear_flux(0.0), zero_flux]
 
 
 def scanned(phys: PhysicalFlux) -> PhysicalFlux:
-    """The same flux with its critical points left to the search."""
-    return dataclasses.replace(phys, critical=None)
+    """The same flux with its critical points left to the search, and not
+    declared linear, so that Godunov takes its extremum pass."""
+    return dataclasses.replace(phys, critical=None, linear=False)
 
 
 class TestDeclaredCriticalPoints:
@@ -336,6 +342,58 @@ class TestDeclaredCriticalPoints:
 def test_declared_critical_points_match_the_scan_on_random_brackets(name, lo, hi):
     phys = DECLARED_FLUXES[name]()
     assert critical_points(phys, lo, hi) == critical_points(scanned(phys), lo, hi)
+
+
+def line_interface_states():
+    """Interface states (a, b) of every step of a line that starts empty and
+    gets its influx from t = 0.1: zeros ahead of the fill front, both sides
+    of it, and exact zeros on both sides before it."""
+    model = FactoryModel(v0=1.0, max_load=10.0, influx=step_influx(0.0, 2.0, 0.1),
+                         yield_loss=YieldLoss.constant(0.03))
+    ext = []
+    run_factory(model, 0.0, TimeAxis(0.5, dt_max=0.05),
+                grid=build_grid(0.0, 1.0, 40),
+                observers=[lambda rec: ext.append(np.concatenate(
+                    ([rec.ghost_left], rec.field_bar.values,
+                     [rec.ghost_right])))])
+    ext = np.array(ext)
+    return ext[:, :-1], ext[:, 1:]
+
+
+class TestGodunovOnALinearFlux:
+    @pytest.mark.parametrize("speed", [0.0, 1e-12, 0.72, 1.0])
+    def test_upwind_route_equals_the_extremum_pass(self, speed):
+        # With f(1) >= 0 eval_flux takes f(a) for Godunov; the extremum pass
+        # gives the same floats (== does not see the sign of a zero).
+        phys = linear_flux(speed)
+        s = np.linspace(-1.5, 1.5, 50)
+        lattice = np.meshgrid(s, s, indexing="ij")
+        line = line_interface_states()
+        assert (line[0] == 0.0).any() and (line[0] > 0.0).any()
+        for a, b in (lattice, line):
+            got = eval_flux(godunov(phys), a, b)
+            assert np.array_equal(got, _godunov_eval(phys, a, b))
+            assert np.array_equal(got, phys.eval(a))
+
+    @pytest.mark.parametrize("phys,calls", [
+        (linear_flux(0.72), 0),
+        (linear_flux(0.0), 0),
+        (linear_flux(-0.72), 1),
+        (dataclasses.replace(linear_flux(0.72), linear=False), 1),
+    ], ids=["forward", "speed-0", "backward", "undeclared"])
+    def test_critical_point_calls(self, phys, calls, monkeypatch, rng):
+        # Only the upwind route skips the search; a negative speed or a flux
+        # not declared linear keeps one search per call.
+        found = []
+
+        def counted(phys, lo, hi):
+            found.append((lo, hi))
+            return critical_points(phys, lo, hi)
+
+        monkeypatch.setattr("splitfv.flux.critical_points", counted)
+        eval_flux(godunov(phys), rng.uniform(0.0, 3.0, 20),
+                  rng.uniform(0.0, 3.0, 20))
+        assert len(found) == calls
 
 
 class TestLaxFriedrichs:

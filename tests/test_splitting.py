@@ -18,6 +18,7 @@ from splitfv import (
     fill_ghosts,
     godunov,
     linear_flux,
+    march,
     proportional_decay,
     run,
     step,
@@ -46,18 +47,18 @@ def make_field(values, x_min=0.0, x_max=1.0, time=0.0):
 class TestBoundaries:
     def test_dirichlet_pair(self):
         bc = BoundarySpec.dirichlet_pair(lambda t: 2.0 + t, 0.5)
-        field = make_field([1.0, 1.0, 1.0])
-        assert fill_ghosts(field, bc, 3.0) == (5.0, 0.5)
+        field = make_field([1.0, 1.0, 1.0], time=3.0)
+        assert fill_ghosts(field, bc) == (5.0, 0.5)
 
     def test_outflow_copies_last_cell(self):
         bc = BoundarySpec.dirichlet_outflow(1.0)
         field = make_field([1.0, 2.0, 7.0])
-        assert fill_ghosts(field, bc, 0.0) == (1.0, 7.0)
+        assert fill_ghosts(field, bc) == (1.0, 7.0)
 
     def test_influx_divides_by_velocity(self):
         bc = BoundarySpec.influx_outflow(lambda t: 2.016)
         field = make_field([2.8, 2.8])
-        gl, gr = fill_ghosts(field, bc, 0.0, linear_flux(0.72))
+        gl, gr = fill_ghosts(field, bc, linear_flux(0.72))
         assert gl == pytest.approx(2.8)
         assert gr == pytest.approx(2.8)
 
@@ -65,22 +66,22 @@ class TestBoundaries:
         bc = BoundarySpec.influx_outflow(2.0)
         field = make_field([1.0, 1.0])
         with pytest.raises(ValueError):
-            fill_ghosts(field, bc, 0.0)
+            fill_ghosts(field, bc)
 
     def test_influx_refuses_a_flux_not_declared_linear(self):
         bc = BoundarySpec.influx_outflow(2.0)
         field = make_field([1.0, 1.0])
         with pytest.raises(ValueError, match="declared linear"):
-            fill_ghosts(field, bc, 0.0, burgers_flux())
+            fill_ghosts(field, bc, burgers_flux())
         undeclared = PhysicalFlux(func=lambda u: 0.5 * u)
         with pytest.raises(ValueError, match="declared linear"):
-            fill_ghosts(field, bc, 0.0, undeclared)
+            fill_ghosts(field, bc, undeclared)
 
     def test_influx_jams_at_vanishing_velocity(self):
         bc = BoundarySpec.influx_outflow(2.0)
         field = make_field([1.0, 1.0])
         with pytest.raises(JammedLineError):
-            fill_ghosts(field, bc, 0.0, linear_flux(1e-12))
+            fill_ghosts(field, bc, linear_flux(1e-12))
 
     def test_invalid_kinds_rejected(self):
         with pytest.raises(ValueError):
@@ -208,7 +209,7 @@ def shock_run(n_cells=64, t_final=0.4, checkpoint_times=(), **kwargs):
     values = np.where(grid.cell_centers < 0.3, 1.0, 0.0)
     initial = CellField(grid, values)
     axis = TimeAxis(t_final=t_final, dt_max=0.05, cfl_number=0.9)
-    return run(initial, t_final, godunov(burgers_flux()), zero_source(),
+    return run(initial, godunov(burgers_flux()), zero_source(),
                BoundarySpec.dirichlet_pair(1.0, 0.0), axis,
                checkpoint_times=checkpoint_times, **kwargs)
 
@@ -262,7 +263,7 @@ class TestRun:
         def inflow(t):
             return 2.8 * np.exp(-0.03 * t)
 
-        report = run(initial, 1.0, upwind_linear(linear_flux(1.0)),
+        report = run(initial, upwind_linear(linear_flux(1.0)),
                      proportional_decay(0.03),
                      BoundarySpec.dirichlet_pair(inflow, 0.0), axis)
         assert report.final_field.values[-1] == pytest.approx(
@@ -276,7 +277,7 @@ class TestRun:
         grid = build_grid(0.0, 1.0, 6)
         values = np.linspace(0.5, 3.0, 6)
         axis = TimeAxis(t_final=1.0, dt_max=0.1, cfl_number=0.9)
-        report = run(CellField(grid, values), 1.0, godunov(zero_flux()),
+        report = run(CellField(grid, values), godunov(zero_flux()),
                      proportional_decay(rate),
                      BoundarySpec.dirichlet_outflow(0.0), axis)
         assert report.times[-1] == pytest.approx(1.0, abs=1e-12)
@@ -291,18 +292,36 @@ class TestRun:
         # the upwind update leaves the field unchanged.
         grid = build_grid(0.0, 1.0, 8)
         axis = TimeAxis(t_final=0.5, dt_max=0.1, cfl_number=0.9)
-        report = run(CellField(grid, np.full(8, 2.8)), 0.5,
+        report = run(CellField(grid, np.full(8, 2.8)),
                      upwind_linear(linear_flux(0.72)), zero_source(),
                      BoundarySpec.influx_outflow(2.016), axis)
         assert_allclose(report.ghost_left, 2.8, rtol=1e-15)
         assert_allclose(report.final_field.values, 2.8, rtol=1e-14)
+
+    @pytest.mark.parametrize("t_final", [np.inf, np.nan])
+    def test_march_refuses_a_non_finite_horizon(self, t_final):
+        # Both returned a report with no step and no error; pick_dt stops a
+        # march that starts stepping toward a horizon it cannot reach.
+        proposals = []
+
+        def pick_dt(field, report):
+            proposals.append(field.time)
+            if len(proposals) > 10:
+                raise AssertionError("march kept stepping")
+            return 0.1
+
+        with pytest.raises(ValueError, match="t_final"):
+            march(make_field([1.0, 1.0]), t_final, pick_dt, zero_source(),
+                  BoundarySpec.dirichlet_pair(1.0, 1.0),
+                  lambda bar: upwind_linear(linear_flux(1.0)))
+        assert proposals == []
 
     def test_rejects_t_final_before_start(self):
         grid = build_grid(0.0, 1.0, 4)
         initial = CellField(grid, np.ones(4), time=2.0)
         axis = TimeAxis(t_final=1.0)
         with pytest.raises(ValueError):
-            run(initial, 1.0, upwind_linear(linear_flux(1.0)), zero_source(),
+            run(initial, upwind_linear(linear_flux(1.0)), zero_source(),
                 BoundarySpec.dirichlet_pair(1.0, 1.0), axis)
 
     @pytest.mark.parametrize("cfl_number", [1.0, 0.9])
@@ -314,7 +333,7 @@ class TestRun:
         initial = CellField(grid, np.where(grid.cell_centers < 0.5, 1.0, 0.0))
         axis = TimeAxis(t_final=1.0, dt_max=1.0, cfl_number=cfl_number)
         states = []
-        report = run(initial, 1.0, upwind_linear(linear_flux(0.7)),
+        report = run(initial, upwind_linear(linear_flux(0.7)),
                      zero_source(), BoundarySpec.dirichlet_pair(0.0, 0.0),
                      axis, observers=[collect_states(states)])
         assert min(float(snap.min())
