@@ -125,13 +125,31 @@ def as_source(profile: YieldLoss, u_max: float = 0.0) -> SourceDescriptor:
     u_max feeds the declared spatial-variation bound (TV of g(., t, u) is
     at most TV(c) * u_max when |u| <= u_max); it does not affect stepping,
     only property verification against that bound.
+
+    c does not depend on t, so the sink keeps the last positions and -c
+    there, and reuses them when called again with the same array object
+    while that is read-only, as the grid's cell centres are
+    (`Grid1D.cell_centers`); a run then interpolates c once. It stores
+    only a read-only array that owns its data: a read-only view could
+    change through the writable array it views. The result is the same
+    floats as -profile.rate_at(x) * u either way.
     """
     if u_max < 0.0:
         raise ValueError(f"u_max must be >= 0, got {u_max}")
     tv_rate = profile.rate_tv()
+    memo_x = None
+    memo_neg_c = None
 
     def func(x, t, u):
-        return -profile.rate_at(x) * u
+        nonlocal memo_x, memo_neg_c
+        if x is memo_x and not x.flags.writeable:
+            neg_c = memo_neg_c
+        else:
+            neg_c = -profile.rate_at(x)
+            if (isinstance(x, np.ndarray) and not x.flags.writeable
+                    and x.base is None):
+                memo_x, memo_neg_c = x, neg_c
+        return neg_c * u
 
     return SourceDescriptor(
         func=func,

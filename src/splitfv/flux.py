@@ -372,8 +372,7 @@ def max_dt(
     """
     if not (0.0 < cfl_number <= 1.0):
         raise ValueError(f"cfl_number must be in (0, 1], got {cfl_number}")
-    lo = float(field.values.min())
-    hi = float(field.values.max())
+    lo, hi = field.bounds
     L = flux_lipschitz(desc, lo, hi)
     if L <= 0.0:
         return dt_cap

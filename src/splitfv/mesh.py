@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,13 +25,27 @@ class Grid1D:
         if self.n_cells < 2:
             raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
 
     @property
     def cell_centers(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
+        """Cell midpoints, computed on first access and read-only.
+
+        Every access returns the same array object, so a sink that caches
+        its rates by position (`factory.as_source`) computes them once per
+        grid. A plain property filling a private instance-dict entry,
+        unlike `dx`, `CellField.bounds` and `CellField.jumps`: a wrapper of
+        a property's getter then still sees every access.
+        """
+        x = self.__dict__.get("_cell_centers")
+        if x is None:
+            x = self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
+            x.setflags(write=False)
+            # The class is frozen: write the instance dict directly.
+            self.__dict__["_cell_centers"] = x
+        return x
 
 
 def build_grid(x_min: float, x_max: float, n_cells: int) -> Grid1D:
@@ -46,6 +61,13 @@ class CellField:
     field can be shared between step records and observers without risk
     of aliasing bugs. The split step wraps the arrays it computes with
     `adopt` instead, which skips the copy and the checks.
+
+    `bounds` (min, max) and `jumps` (|u_{j+1} - u_j|, length n_cells - 1)
+    are computed on first access and kept in the instance dict, where
+    later reads find them without a call. That is sound because the values
+    are read-only, so they cannot go stale. The CFL guard, the step
+    record, the run report and `max_dt` all read them, so each field's
+    range and jumps are taken once however many of those look at it.
     """
 
     grid: Grid1D
@@ -78,6 +100,18 @@ class CellField:
         # The class is frozen: fill the instance dict, as __init__ would.
         field.__dict__.update(grid=grid, values=values, time=time)
         return field
+
+    @cached_property
+    def bounds(self) -> tuple[float, float]:
+        """(min, max) of the values."""
+        return float(self.values.min()), float(self.values.max())
+
+    @cached_property
+    def jumps(self) -> np.ndarray:
+        """Read-only |u_{j+1} - u_j| across the interior interfaces."""
+        jumps = np.abs(self.values[1:] - self.values[:-1])
+        jumps.setflags(write=False)
+        return jumps
 
 
 @dataclass(frozen=True)
@@ -129,12 +163,13 @@ def project_initial(u0: Callable, grid: Grid1D, quadrature_points: int = 8) -> C
 
 def total_variation(field: CellField) -> float:
     """Sum of absolute jumps across interior interfaces."""
-    values = field.values
-    return float(np.abs(values[1:] - values[:-1]).sum())
+    return float(field.jumps.sum())
 
 
 def linf_norm(field: CellField) -> float:
-    return float(np.abs(field.values).max())
+    """Largest |u_j|, from the field's bounds; abs keeps an all-zero field at +0."""
+    lo, hi = field.bounds
+    return max(abs(lo), abs(hi))
 
 
 def l1_distance(a: CellField, b: CellField) -> float:

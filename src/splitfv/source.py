@@ -147,13 +147,23 @@ def _fixed_point(u0: np.ndarray, dt: float,
 
     Returns the last iterate and whether it met _SOLVE_TOL in every cell.
     An iteration that leaves the floats stops early, unconverged.
+
+    The iterates alternate between two buffers allocated per call, and
+    the change |w_next - w| goes to a third, so a pass allocates only what
+    g itself returns. The operations and their order are those of
+    w_next = u0 + dt * g(w), then |w_next - w|.max(). The returned array
+    is one of the buffers: it never aliases u0, and nothing else keeps it.
     """
     # Every iterate kept as w is finite, so a converged w is finite too.
     w = u0.copy()
+    w_next = np.empty_like(w)
+    change_buf = np.empty_like(w)
     with np.errstate(all="ignore"):
         for _ in range(_MAX_ITERS):
-            w_next = u0 + dt * g(w)
-            change = np.abs(w_next - w).max()
+            np.multiply(dt, g(w), out=w_next)
+            np.add(u0, w_next, out=w_next)
+            np.subtract(w_next, w, out=change_buf)
+            change = np.abs(change_buf, out=change_buf).max()
             if change <= _SOLVE_TOL:
                 # |w - u0 - dt g(w)| = |w_next - w|, so w is the answer.
                 return w, True
@@ -161,7 +171,7 @@ def _fixed_point(u0: np.ndarray, dt: float,
             # or that two finite iterates differ by more than a float holds.
             if not math.isfinite(change) and not np.isfinite(w_next).all():
                 return w_next, False
-            w = w_next
+            w, w_next = w_next, w
     return w, False
 
 
@@ -176,6 +186,9 @@ def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor):
     lipschitz_u dt exceeds about 0.76. Raises ValueError
     when the contraction condition lipschitz_u * dt < 1 fails and
     SourceSolveError when the solve cannot be completed at all.
+
+    An array u is read, never copied or written: the returned w is always
+    a new array, which a caller may adopt as its own.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -185,7 +198,8 @@ def implicit_source_step(u, x, t: float, dt: float, src: SourceDescriptor):
             f"{src.lipschitz_u * dt} >= 1"
         )
     scalar = np.isscalar(u) or np.ndim(u) == 0
-    u0 = np.array(u, dtype=float, ndmin=1)
+    # Not copied: u0 is only read, and w is always a new array.
+    u0 = np.atleast_1d(np.asarray(u, dtype=float))
     xx = np.asarray(x, dtype=float)
     if xx.shape != u0.shape:
         xx = np.broadcast_to(xx, u0.shape)

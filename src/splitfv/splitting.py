@@ -193,7 +193,9 @@ def transport_stage(field_bar: CellField, dt: float,
     values = field_bar.values
     ghost_left, ghost_right = fill_ghosts(field_bar, bc, fluxdesc.physical)
     ext = np.concatenate(([ghost_left], values, [ghost_right]))
-    L = flux_lipschitz(fluxdesc, float(ext.min()), float(ext.max()))
+    lo, hi = field_bar.bounds
+    L = flux_lipschitz(fluxdesc, min(lo, ghost_left, ghost_right),
+                       max(hi, ghost_left, ghost_right))
     if dt * L / dx > 1.0 + _CFL_MARGIN:
         raise CFLViolationError(
             f"dt={dt} exceeds the hard CFL limit {dx / L if L > 0 else np.inf} "
@@ -219,11 +221,11 @@ def make_step_record(field_before: CellField, field_bar: CellField,
     ran against the actual stencil), it is reported so drifting runs are
     visible in the diagnostics.
     """
-    lo = float(field_before.values.min())
-    hi = float(field_before.values.max())
+    lo, hi = field_before.bounds
     pad = 0.1 * max(hi - lo, abs(lo), abs(hi))
-    stencil_lo = min(float(field_after.values.min()), ghost_left, ghost_right)
-    stencil_hi = max(float(field_after.values.max()), ghost_left, ghost_right)
+    after_lo, after_hi = field_after.bounds
+    stencil_lo = min(after_lo, ghost_left, ghost_right)
+    stencil_hi = max(after_hi, ghost_left, ghost_right)
     exited = stencil_lo < lo - pad or stencil_hi > hi + pad
     return StepRecord(
         t_before=field_before.time,
@@ -274,8 +276,9 @@ def step(field: CellField, dt: float, fluxdesc: NumericalFluxDescriptor,
 # Run driver and report
 # =============================================================
 
-def _interior_tv(values: np.ndarray) -> float:
-    return float(np.abs(values[2:-1] - values[1:-2]).sum())
+def _interior_tv(field: CellField) -> float:
+    """Total variation without the two boundary-adjacent jumps."""
+    return float(field.jumps[1:-1].sum())
 
 
 @dataclass
@@ -315,7 +318,7 @@ class RunReport:
         self.times.append(field.time)
         self.linf.append(linf_norm(field))
         self.tv.append(total_variation(field))
-        self.tv_interior.append(_interior_tv(field.values))
+        self.tv_interior.append(_interior_tv(field))
 
     def _append_channels(self, values: dict[str, float]) -> None:
         for name, value in values.items():
@@ -365,10 +368,9 @@ def march(initial: CellField, t_final: float,
     report = RunReport.start(initial)
     if channels is not None:
         report._append_channels(channels(initial))
-    # Cell centres, computed once per run; read-only because every step's
-    # source stage shares them.
+    # The grid's cached, read-only cell centres, shared by every step's
+    # source stage.
     x = initial.grid.cell_centers
-    x.setflags(write=False)
     tiny = 1e-12 * max(1.0, abs(t_final))
     targets = sorted({float(c) for c in checkpoint_times})
     for target in targets:

@@ -106,6 +106,86 @@ class TestYieldLoss:
         assert report.lipschitz_ok and report.tv_ok and report.growth_ok
 
 
+PROFILE = YieldLoss.piecewise_linear(((0.0, 0.01), (0.5, 0.05), (1.0, 0.02)))
+
+
+def counted_rates(monkeypatch) -> list[int]:
+    calls = [0]
+    rate_at = YieldLoss.rate_at
+
+    def counted(self, x):
+        calls[0] += 1
+        return rate_at(self, x)
+
+    monkeypatch.setattr(YieldLoss, "rate_at", counted)
+    return calls
+
+
+class TestSinkRateMemo:
+    """as_source reuses c(x) only for the same read-only array that owns
+    its data, and returns -c(x) * u bit for bit whatever x it is given."""
+
+    def test_equal_floats_on_every_kind_of_position_array(self):
+        grid = unit_line(64)
+        u = np.random.default_rng(3).uniform(0.0, 4.0, 64)
+        expected = -PROFILE.rate_at(grid.cell_centers.copy()) * u
+        writable = grid.cell_centers.copy()
+        base = grid.cell_centers.copy()
+        view = base[:]
+        view.setflags(write=False)
+        src = as_source(PROFILE)
+        for x in (grid.cell_centers, writable, view, grid.cell_centers,
+                  view, writable, grid.cell_centers):
+            assert src.eval(x, 0.0, u).tobytes() == expected.tobytes()
+
+    def test_grid_centres_interpolate_once(self, monkeypatch):
+        calls = counted_rates(monkeypatch)
+        grid = unit_line(32)
+        src = as_source(PROFILE)
+        for t in (0.0, 0.5, 1.0):
+            src.eval(grid.cell_centers, t, np.ones(32))
+        assert calls[0] == 1
+
+    def test_a_mutated_writable_array_gets_fresh_rates(self, monkeypatch):
+        calls = counted_rates(monkeypatch)
+        src = as_source(PROFILE)
+        x = np.linspace(0.0, 1.0, 16)
+        u = np.ones(16)
+        first = src.eval(x, 0.0, u)
+        x[:] = x[::-1].copy()
+        second = src.eval(x, 0.0, u)
+        assert second.tobytes() == (-PROFILE.rate_at(x) * u).tobytes()
+        assert second.tobytes() == first[::-1].tobytes()
+        assert calls[0] == 3
+
+    def test_a_read_only_view_is_never_stored(self, monkeypatch):
+        calls = counted_rates(monkeypatch)
+        src = as_source(PROFILE)
+        base = np.linspace(0.0, 1.0, 16)
+        view = base[:]
+        view.setflags(write=False)
+        u = np.ones(16)
+        src.eval(view, 0.0, u)
+        base[:] = np.linspace(1.0, 0.0, 16)  # changes what the view reads
+        got = src.eval(view, 0.0, u)
+        assert got.tobytes() == (-PROFILE.rate_at(base) * u).tobytes()
+        assert calls[0] == 3
+
+    def test_an_array_made_writable_again_is_not_reused(self, monkeypatch):
+        calls = counted_rates(monkeypatch)
+        src = as_source(PROFILE)
+        x = np.linspace(0.0, 1.0, 16).copy()  # owns its data
+        x.setflags(write=False)
+        u = np.ones(16)
+        src.eval(x, 0.0, u)
+        src.eval(x, 0.0, u)
+        assert calls[0] == 1  # stored and reused while read-only
+        x.setflags(write=True)
+        x[:] = 0.5
+        got = src.eval(x, 0.0, u)
+        assert got.tobytes() == (-PROFILE.rate_at(x) * u).tobytes()
+
+
 # =============================================================
 # State functions and steady states
 # =============================================================

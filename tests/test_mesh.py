@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from splitfv import (
     CellField,
+    RunReport,
     TimeAxis,
     build_grid,
     l1_distance,
@@ -31,6 +34,21 @@ class TestGrid1D:
         grid = build_grid(-2.0, 3.0, 10)
         assert grid.dx == pytest.approx(0.5)
         assert grid.cell_centers[0] == pytest.approx(-1.75)
+
+    @pytest.mark.parametrize("x_min,x_max,n_cells", [
+        (0.0, 1.0, 4), (-2.0, 3.0, 10), (0.0, 1.0, 3200),
+    ])
+    def test_centers_are_one_read_only_array(self, x_min, x_max, n_cells):
+        grid = build_grid(x_min, x_max, n_cells)
+        x = grid.cell_centers
+        assert grid.cell_centers is x
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        # The formula the grid always used, element for element.
+        dx = (x_max - x_min) / n_cells
+        assert x.tobytes() == (x_min + (np.arange(n_cells) + 0.5) * dx).tobytes()
+        assert grid.dx == dx
 
     @pytest.mark.parametrize("x_min,x_max,n_cells", [
         (0.0, 1.0, 1),
@@ -61,6 +79,60 @@ class TestCellField:
     def test_rejects_non_finite(self, unit_grid):
         with pytest.raises(ValueError):
             CellField(unit_grid, np.array([1.0, np.nan, 0.0, 0.0]))
+
+
+def _fields(n_cells: int, seed: int) -> list[np.ndarray]:
+    """Random value arrays, plus all-zero ones and ones holding -0.0."""
+    rng = np.random.default_rng(seed)
+    zeros = np.zeros(n_cells)
+    negative_zeros = np.full(n_cells, -0.0)
+    mixed_zeros = np.where(rng.uniform(size=n_cells) < 0.5, 0.0, -0.0)
+    with_negative_zero = rng.uniform(-1.0, 1.0, n_cells)
+    with_negative_zero[::3] = -0.0
+    return [
+        rng.uniform(0.0, 5.0, n_cells),
+        rng.normal(0.0, 1e3, n_cells),
+        -rng.uniform(0.0, 1e-300, n_cells),
+        zeros, negative_zeros, mixed_zeros, with_negative_zero,
+    ]
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestSharedBoundsAndJumps:
+    """The norms read each field's cached bounds and jumps; they must equal
+    the direct formulas they replaced, signed zeros included."""
+
+    @pytest.mark.parametrize("n_cells", [2, 3, 4, 7, 200, 3200])
+    @pytest.mark.parametrize("adopted", [False, True])
+    def test_norms_equal_the_direct_formulas(self, n_cells, adopted):
+        grid = build_grid(0.0, 1.0, n_cells)
+        for k, values in enumerate(_fields(n_cells, seed=n_cells)):
+            if adopted:
+                field = CellField.adopt(grid, values.copy(), 0.0)
+            else:
+                field = CellField(grid, values)
+            linf = float(np.abs(values).max())
+            tv = float(np.abs(values[1:] - values[:-1]).sum())
+            tv_interior = float(np.abs(values[2:-1] - values[1:-2]).sum())
+            report = RunReport.start(field)
+            for got, want in ((linf_norm(field), linf),
+                              (report.linf[0], linf),
+                              (total_variation(field), tv),
+                              (report.tv[0], tv),
+                              (report.tv_interior[0], tv_interior)):
+                assert _same(got, want), (k, got, want)
+
+    def test_bounds_and_jumps_are_computed_once(self, unit_grid):
+        field = CellField(unit_grid, np.array([0.5, -2.5, 1.0, -0.0]))
+        assert field.bounds is field.bounds
+        assert field.bounds == (-2.5, 1.0)
+        jumps = field.jumps
+        assert field.jumps is jumps
+        assert jumps.tolist() == [3.0, 3.5, 1.0]
+        assert not jumps.flags.writeable
 
 
 class TestTimeAxis:

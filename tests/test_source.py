@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -303,6 +304,101 @@ class TestLinearSink:
         assert bool(passes) == iterates
         assert len(passes) < 100
         assert np.abs(w - u + dt * rate * w).max() <= 1e-12
+
+
+def reference_solve(u, x, t, dt, src):
+    """implicit_source_step's solve written with a new array per operation
+    and a copy of u, as it was before the buffered iteration; the
+    validation is left out."""
+    u0 = np.array(u, dtype=float, ndmin=1)
+    xx = np.asarray(x, dtype=float)
+    if xx.shape != u0.shape:
+        xx = np.broadcast_to(xx, u0.shape)
+    if src.linear:
+        slope = np.asarray(src.eval(xx, t, 1.0), dtype=float)
+
+        def g(w):
+            return slope * w
+    else:
+        def g(w):
+            return np.asarray(src.eval(xx, t, w), dtype=float)
+
+    w, converged = u0.copy(), False
+    if not (src.linear and (src.lipschitz_u * dt) ** 100 > 1e-12):
+        with np.errstate(all="ignore"):
+            for _ in range(100):
+                w_next = u0 + dt * g(w)
+                change = np.abs(w_next - w).max()
+                if change <= 1e-12:
+                    converged = True
+                    break
+                if not math.isfinite(change) and not np.isfinite(w_next).all():
+                    w = w_next
+                    break
+                w = w_next
+    if not converged:
+        def unsolved(w):
+            with np.errstate(all="ignore"):
+                resid = np.abs(u0 + dt * g(w) - w)
+            return ~np.isfinite(resid) | (resid > 1e-12)
+
+        bad = unsolved(w)
+        if src.linear:
+            with np.errstate(all="ignore"):
+                w[bad] = (u0 / (1.0 - dt * slope))[bad]
+            bad = unsolved(w)
+        for i in np.flatnonzero(bad):
+            w[i] = source_module._bracketed_rescue(
+                src, float(u0[i]), float(xx[i]), t, dt)
+    return float(w[0]) if np.ndim(u) == 0 else w
+
+
+def tanh_sink() -> SourceDescriptor:
+    """A nonlinear sink g = -(1 + x) tanh(u), Lipschitz 2 in u on [0, 1]."""
+    return SourceDescriptor(
+        func=lambda x, t, u: -(1.0 + x) * np.tanh(u),
+        lipschitz_u=2.0,
+        sup_at_zero=0.0,
+        tv_bound=lambda t: 0.0,
+    )
+
+
+class TestBufferedSolve:
+    """The buffered fixed point and the uncopied input give the same floats
+    as the solve written with a new array per operation."""
+
+    SINKS = {**LINEAR_SINKS, "tanh": tanh_sink}
+
+    # Fractions of the contraction cap 1 / lipschitz_u: a linear sink
+    # iterates below q = 0.7586 and takes the closed form above it.
+    @pytest.mark.parametrize("name", sorted(SINKS))
+    @pytest.mark.parametrize("q", [1e-4, 0.1, 0.5, 0.7, 0.8, 0.95, 1.0 - 1e-9])
+    def test_equals_the_unbuffered_solve(self, name, q):
+        src = self.SINKS[name]()
+        cap = 1.0 / src.lipschitz_u if src.lipschitz_u > 0.0 else 100.0
+        dt = q * cap
+        rng = np.random.default_rng(11)
+        x = np.sort(rng.uniform(0.0, 1.0, 200))
+        x.setflags(write=False)
+        u = rng.uniform(-1.0, 5.0, 200)
+        u[::7] = 0.0
+        u.setflags(write=False)  # the solve must not write to its input
+        kept = u.copy()
+        w = implicit_source_step(u, x, 0.3, dt, src)
+        assert w.tobytes() == reference_solve(u, x, 0.3, dt, src).tobytes()
+        assert not np.shares_memory(w, u)
+        assert w.flags.writeable
+        assert u.tobytes() == kept.tobytes()
+        scalar = implicit_source_step(2.5, 0.4, 0.3, dt, src)
+        assert scalar == reference_solve(2.5, 0.4, 0.3, dt, src)
+
+    def test_result_never_aliases_the_input_when_nothing_moves(self):
+        # Zero source: the first iterate already converges, so the answer
+        # has the input's values but must not be the input's memory.
+        u = np.array([1.0, -2.0, 0.5])
+        w = implicit_source_step(u, np.zeros(3), 0.0, 0.1, zero_source())
+        assert w.tobytes() == u.tobytes()
+        assert not np.shares_memory(w, u)
 
 
 class TestPropertyVerification:
