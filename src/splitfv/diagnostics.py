@@ -14,7 +14,10 @@ smooth in between with the flux's own shape (linear pieces for a linear
 flux, quadratic for a quadratic one). entropy_residual_max, the package's
 only entropy check, takes the supremum over k by evaluating every piece at
 its endpoints, midpoint and fitted parabola vertex, which is exhaustive for
-linear and quadratic fluxes. For a flux declared linear (PhysicalFlux.linear)
+linear and quadratic fluxes. That takes two numerical flux calls a step:
+the endpoints with the midpoints, then the vertices. A cell whose five
+states are equal (flat) has a transport part of exactly 0.0 at every k and
+is left out of both calls. For a flux declared linear (PhysicalFlux.linear)
 the endpoints alone are searched: a linear piece peaks at one of them.
 When, in addition, F(a, b) is f(a) (flux._is_upwind: upwind-linear, or
 Godunov with f(1) >= 0), G reduces to f(max(s, k)) - f(min(s, k)) at the
@@ -74,41 +77,51 @@ class EntropyCheckResult:
         return self.max_residual <= self.tolerance
 
 
-def _residual_rows(rec: StepRecord, ext: np.ndarray, k_rows: np.ndarray,
+def _residual_rows(rec: StepRecord, states: np.ndarray,
+                   cells: np.ndarray | slice, k: np.ndarray,
                    source_values: np.ndarray) -> np.ndarray:
     """Residual of every cell for each row of per-cell k values, shape (rows, n).
 
-    ext holds the ghost values around the post-source states. Both
-    interfaces of every cell go through one numerical_entropy_flux call, so
-    the whole array costs a single eval_flux call. When F(a, b) is f(a)
+    states holds the five states (u_j, u_j^+, ubar_{j-1}, ubar_j, ubar_{j+1})
+    of the columns that cells selects: the cells that are not flat, or
+    slice(None) for all. The transport part
+    |u^+ - k| - |u - k| + (dt/dx) (G_r - G_l) is computed on those cells
+    only and is 0.0 elsewhere: on a flat cell, whose five states are equal,
+    both of its terms are differences of identical floats, so it is exactly
+    0.0 at every k. The two interfaces of a cell share ubar_j, so max and
+    min against k are taken once for each of the three ubar states; the
+    interfaces' left and right arguments are overlapping views of that one
+    array, evaluated in a single eval_flux call. When F(a, b) is f(a)
     (_is_upwind), G is f(max(s, k)) - f(min(s, k)) at the upwind state s,
     from one evaluation of the physical flux and no eval_flux call; the
     floats are those eval_flux would give, up to the sign of an exact zero.
-    Non-finite states are refused (ValueError) on either route. At
-    k = ubar_j, where sign(ubar_j - k) jumps, the source term takes the
-    sign that makes it dt |g|: the larger of its two one-sided limits.
+    The source term is computed on every cell; at k = ubar_j, where
+    sign(ubar_j - k) jumps, it takes the sign that makes it dt |g|: the
+    larger of its two one-sided limits.
     """
-    before = rec.field_before.values
     bar = rec.field_bar.values
-    after = rec.field_after.values
-    dtdx = rec.dt / rec.field_before.grid.dx
-    # Leading axis: right interface (bar_j, bar_{j+1}), left (bar_{j-1}, bar_j);
-    # a holds each interface's left state, the upwind one when F(a, b) = f(a).
-    a = np.stack([ext[1:-1], ext[:-2]])[:, None, :]
-    fluxdesc = rec.fluxdesc
-    if _is_upwind(fluxdesc):
-        if not (np.isfinite(ext).all() and np.isfinite(k_rows).all()):
-            raise ValueError("non-finite state passed to the entropy check")
-        f = fluxdesc.physical.eval(
-            np.stack([np.maximum(a, k_rows), np.minimum(a, k_rows)]))
-        g = f[0] - f[1]
-    else:
-        g = numerical_entropy_flux(
-            fluxdesc, a, np.stack([ext[2:], ext[1:-1]])[:, None, :], k_rows)
-    s = np.where(bar == k_rows, -np.sign(source_values), np.sign(bar - k_rows))
-    return (np.abs(after - k_rows) - np.abs(before - k_rows)
-            + dtdx * (g[0] - g[1])
-            - s * rec.dt * source_values)
+    r = np.zeros(k.shape)
+    if states.shape[1]:  # eval_flux takes the range of a non-empty batch
+        fluxdesc = rec.fluxdesc
+        upwind = _is_upwind(fluxdesc)
+        kc = k[:, cells]
+        # x[0] holds max(state, k), x[1] min(state, k), for the states
+        # ubar_{j-1}, ubar_j and ubar_{j+1}; the upwind flux reads only the
+        # first two, each interface's left state.
+        ubar = states[2:4] if upwind else states[2:]
+        x = np.empty((2, len(ubar)) + kc.shape)
+        np.maximum(ubar[:, None, :], kc, out=x[0])
+        np.minimum(ubar[:, None, :], kc, out=x[1])
+        if upwind:
+            f = fluxdesc.physical.eval(x)
+        else:
+            f = eval_flux(fluxdesc, x[:, :2], x[:, 1:])
+        g = f[0] - f[1]  # left interface, right interface
+        r[:, cells] = (np.abs(states[1] - kc) - np.abs(states[0] - kc)
+                       + rec.dt / rec.field_before.grid.dx * (g[1] - g[0]))
+    s = np.where(bar == k, -np.sign(source_values), np.sign(bar - k))
+    r -= s * rec.dt * source_values
+    return r
 
 
 def _source_values(rec: StepRecord) -> np.ndarray:
@@ -132,20 +145,32 @@ def entropy_residual_max(rec: StepRecord) -> EntropyCheckResult:
     quadratic, so this search is exhaustive; for other smooth fluxes it is
     a per-piece refinement of the endpoint search.
 
-    The per-cell k candidates form (rows, n) arrays evaluated in three
-    batches, one eval_flux call each: the sorted kink rows, every piece's
-    midpoint, and every piece's vertex. A piece whose row has no cell of
-    positive width adds no candidate. Candidates are ranked in the order
-    rows, midpoint 0, vertex 0, midpoint 1, vertex 1, ..., and the first
-    maximum wins, in each cell and then across cells.
+    The per-cell k candidates form (rows, n) arrays evaluated in two
+    batches, one eval_flux call each: the R sorted kink rows together with
+    every piece's midpoint, as one (2R - 1, n) array, and then every
+    piece's vertex, which needs the midpoint residuals. eval_flux is
+    elementwise, so the merged batch gives each entry the floats it would
+    get alone. A piece whose row has no cell of positive width adds no
+    candidate. Candidates are ranked in the order rows, midpoint 0,
+    vertex 0, midpoint 1, vertex 1, ..., and the first maximum wins, in
+    each cell and then across cells.
+
+    A cell is flat when its five states are equal. There the transport
+    part of the residual is exactly 0.0 at every k, so both batches compute
+    it only on the other cells (gathered once) and the residual of a flat
+    cell is its source term alone. The k rows, with the critical points
+    taken over all cells, and the candidates are the same as without the
+    shortcut, so the result is too. Non-finite states are refused
+    (ValueError) before any flux work, flat cells included.
 
     For a flux declared linear only the kink rows are evaluated, one
-    eval_flux call. Every piece is then linear in k, so its midpoint and
-    vertex lie between its endpoint values; as rows rank first, they could
-    change the result only by rounding above both ends. If the numerical
-    flux is also upwind-linear, or Godunov with f(1) >= 0, F(a, b) is f(a)
-    (flux._is_upwind), and the rows take no eval_flux call: G(a, b; k) is
-    f(max(a, k)) - f(min(a, k)), the same floats.
+    eval_flux call on all cells. Every piece is then linear in k, so its
+    midpoint and vertex lie between its endpoint values; as rows rank
+    first, they could change the result only by rounding above both ends.
+    If the numerical flux is also upwind-linear, or Godunov with
+    f(1) >= 0, F(a, b) is f(a) (flux._is_upwind), and the rows take no
+    eval_flux call: G(a, b; k) is f(max(a, k)) - f(min(a, k)), the same
+    floats.
 
     The source term's sign jumps at k = ubar_j. The row there takes the
     larger of the residual's two one-sided limits, so it bounds every value
@@ -158,7 +183,7 @@ def entropy_residual_max(rec: StepRecord) -> EntropyCheckResult:
     bar = rec.field_bar.values
     n = bar.size
     ext = np.concatenate([[rec.ghost_left], bar, [rec.ghost_right]])
-    local = np.stack([
+    local = np.array([
         rec.field_before.values,
         rec.field_after.values,
         ext[:-2],
@@ -171,30 +196,46 @@ def entropy_residual_max(rec: StepRecord) -> EntropyCheckResult:
     rows = [local, lo[None, :] - 1.0, hi[None, :] + 1.0]
     for c in critical_points(fluxdesc.physical, float(lo.min()), float(hi.max())):
         rows.append(np.full((1, n), c))
-    k_rows = np.sort(np.vstack(rows), axis=0)
-    r_rows = _residual_rows(rec, ext, k_rows, gsrc)
-    if fluxdesc.physical.linear:
-        return _worst_candidate(r_rows, k_rows, tolerance, rec.t_before)
+    k_rows = np.sort(np.concatenate(rows), axis=0)
+    # A flat cell's states never reach the flux, so they are checked here.
+    if not (np.isfinite(ext).all() and np.isfinite(k_rows).all()):
+        raise ValueError("non-finite state passed to the entropy check")
+    linear = fluxdesc.physical.linear
+    if linear:
+        # On the line model the sink changes every cell, so no cell is
+        # flat; the kink rows are evaluated on all cells, with no gather.
+        k, cells, states = k_rows, slice(None), local
+    else:
+        k1, k2 = k_rows[:-1], k_rows[1:]
+        half = 0.5 * (k2 - k1)
+        live = half > 1e-13 * np.maximum(1.0, np.abs(k1) + np.abs(k2))
+        km = k1 + half
+        k = np.concatenate([k_rows, km])
+        cells = np.flatnonzero((local != bar).any(axis=0))
+        states = local[:, cells]
+    r = _residual_rows(rec, states, cells, k, gsrc)
+    if linear:
+        return _worst_candidate(r, k, tolerance, rec.t_before)
 
-    k1, k2 = k_rows[:-1], k_rows[1:]
+    m = len(k_rows)
+    r_rows, rm = r[:m], r[m:]
     r1, r2 = r_rows[:-1], r_rows[1:]
-    half = 0.5 * (k2 - k1)
-    live = half > 1e-13 * np.maximum(1.0, np.abs(k1) + np.abs(k2))
-    km = k1 + half
-    rm = _residual_rows(rec, ext, km, gsrc)
     # Parabola through (k1, r1), (km, rm), (k2, r2): an interior maximum
     # exists only where the middle sample arches upward.
     arch = r1 - 2.0 * rm + r2
     shift = np.zeros_like(km)
     np.divide(-half * (r2 - r1), 2.0 * arch, out=shift, where=live & (arch < 0.0))
     kv = km + np.clip(shift, -half, half)
-    rv = _residual_rows(rec, ext, kv, gsrc)
+    rv = _residual_rows(rec, states, cells, kv, gsrc)
     dead = ~np.any(live, axis=1)
     rm[dead] = -np.inf
     rv[dead] = -np.inf
 
-    cand_r = np.concatenate([r_rows, np.stack([rm, rv], axis=1).reshape(-1, n)])
-    cand_k = np.concatenate([k_rows, np.stack([km, kv], axis=1).reshape(-1, n)])
+    # Candidates in rank order: rows, midpoint 0, vertex 0, midpoint 1, ...
+    cand_r = np.empty((3 * m - 2, n))
+    cand_k = np.empty((3 * m - 2, n))
+    cand_r[:m], cand_r[m::2], cand_r[m + 1::2] = r_rows, rm, rv
+    cand_k[:m], cand_k[m::2], cand_k[m + 1::2] = k_rows, km, kv
     return _worst_candidate(cand_r, cand_k, tolerance, rec.t_before)
 
 

@@ -1,4 +1,4 @@
-"""Exact call counts of two short CLI runs, pinned as upper bounds.
+"""Exact call counts of three short CLI runs, pinned as upper bounds.
 
 Counts repeat exactly for a fixed input, unlike timings, so they guard the
 structural claims about a step (calls removed, records not built) without
@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import splitfv
-from splitfv import cli, factory, flux, mesh, source, splitting
+from splitfv import cli, diagnostics, factory, flux, mesh, source, splitting
 
 # Functions counted at every package binding that holds them.
 FUNCTIONS = {
@@ -24,7 +24,10 @@ FUNCTIONS = {
     "eval_flux": (flux, "eval_flux"),
     "critical_points": (flux, "critical_points"),
     "wip": (factory, "wip"),
+    "entropy_residual_max": (diagnostics, "entropy_residual_max"),
 }
+# eval_flux calls made inside entropy checks: the checks' own flux work.
+CHECK_FLUX = "eval_flux in entropy_residual_max"
 # Methods counted on their class; CellField.__post_init__ runs for every
 # validated construction, not for CellField.adopt.
 METHODS = {
@@ -36,14 +39,24 @@ METHODS = {
 # testcase2 at 200 cells to t = 0.5: 80 steps. The sink interpolates c(x)
 # once per run on the grid's cell centres; `verify` adds one interpolation
 # on its property probes.
+# converge on burgers_shock, 2 levels from 25 cells: 14 + 28 = 42 steps,
+# each entropy check under Godunov making two eval_flux calls (the kink rows
+# with their midpoints, then the vertices) and two critical_points calls
+# (its k rows, and Godunov's extremum pass in the first call).
 PINS = {
     ("simulate", "upwind-linear"): {
+        "split_step": 80,
         "eval_flux": 80, "critical_points": 0, "wip": 162,
         "SourceDescriptor.eval": 80, "CellField": 1, "YieldLoss.rate_at": 1,
     },
     ("verify", "godunov"): {
+        "split_step": 80,
         "eval_flux": 82, "critical_points": 80, "wip": 162,
         "SourceDescriptor.eval": 161, "CellField": 1, "YieldLoss.rate_at": 2,
+    },
+    ("converge", "burgers_shock"): {
+        "split_step": 42,
+        "eval_flux": 126, CHECK_FLUX: 84, "critical_points": 168,
     },
 }
 
@@ -53,26 +66,38 @@ PINS = {
 PYTHON_CALL_PINS = {
     ("simulate", "upwind-linear"): 4010,
     ("verify", "godunov"): 5768,
+    ("converge", "burgers_shock"): 3380,
 }
 PACKAGE_DIR = os.path.dirname(os.path.abspath(splitfv.__file__)) + os.sep
 
 
-def write_config(tmp_path, mode: str, flux_kind: str):
+def write_config(tmp_path, mode: str, subject: str):
+    """A line run under flux `subject`, or a converge study of problem
+    `subject`."""
     config = tmp_path / "run.cfg"
+    if mode == "converge":
+        keys = f"problem = {subject}\nlevels = 2\nbase_cells = 25\n"
+    else:
+        keys = (f"preset = testcase2\nflux = {subject}\n"
+                "n_cells = 200\nt_final = 0.5\n")
     config.write_text(
-        f"mode = {mode}\npreset = testcase2\nflux = {flux_kind}\n"
-        f"n_cells = 200\nt_final = 0.5\noutput_dir = {tmp_path / 'out'}\n"
-    )
+        f"mode = {mode}\n{keys}output_dir = {tmp_path / 'out'}\n")
     return config
 
 
 def install_counters(monkeypatch) -> dict[str, int]:
-    counts = {name: 0 for name in (*FUNCTIONS, *METHODS)}
+    counts = {name: 0 for name in (*FUNCTIONS, *METHODS, CHECK_FLUX)}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            return fn(*args, **kwargs)
+            if name != "entropy_residual_max":
+                return fn(*args, **kwargs)
+            flux_calls = counts["eval_flux"]
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counts[CHECK_FLUX] += counts["eval_flux"] - flux_calls
         return wrapper
 
     modules = [m for key, m in sorted(sys.modules.items())
@@ -89,23 +114,23 @@ def install_counters(monkeypatch) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("mode,flux_kind", sorted(PINS))
-def test_short_line_run_stays_within_its_call_counts(mode, flux_kind,
-                                                     tmp_path, monkeypatch):
-    config = write_config(tmp_path, mode, flux_kind)
+@pytest.mark.parametrize("mode,subject", sorted(PINS))
+def test_short_run_stays_within_its_call_counts(mode, subject, tmp_path,
+                                                monkeypatch):
+    config = write_config(tmp_path, mode, subject)
     counts = install_counters(monkeypatch)
     assert cli.main([str(config)]) == 0
     monkeypatch.undo()
-    assert counts["split_step"] == 80
-    pins = PINS[(mode, flux_kind)]
+    pins = dict(PINS[(mode, subject)])
+    assert counts["split_step"] == pins.pop("split_step")
     over = {name: (counts[name], pin) for name, pin in pins.items()
             if counts[name] > pin}
     assert not over, f"counts above their pins (count, pin): {over}"
 
 
-@pytest.mark.parametrize("mode,flux_kind", sorted(PYTHON_CALL_PINS))
-def test_warm_run_stays_within_its_python_calls(mode, flux_kind, tmp_path):
-    config = write_config(tmp_path, mode, flux_kind)
+@pytest.mark.parametrize("mode,subject", sorted(PYTHON_CALL_PINS))
+def test_warm_run_stays_within_its_python_calls(mode, subject, tmp_path):
+    config = write_config(tmp_path, mode, subject)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([str(config)]) == 0  # warm-up: imports, caches
     calls = 0
@@ -123,5 +148,5 @@ def test_warm_run_stays_within_its_python_calls(mode, flux_kind, tmp_path):
         finally:
             sys.setprofile(previous)
     assert code == 0
-    pin = PYTHON_CALL_PINS[(mode, flux_kind)]
+    pin = PYTHON_CALL_PINS[(mode, subject)]
     assert calls <= pin, f"{calls} Python-level calls, pin {pin}"

@@ -14,6 +14,7 @@ from splitfv import (
     CellField,
     EntropyObserver,
     FactoryModel,
+    SourceDescriptor,
     TimeAxis,
     YieldLoss,
     build_grid,
@@ -325,6 +326,104 @@ def sequential_supremum(rec, tie_sign: float = 0.0):
     return float(best_r[j]), j, float(best_k[j])
 
 
+PARITY_SOURCES = {
+    "zero": zero_source(),
+    "decay": proportional_decay(0.5),
+    "growth": SourceDescriptor(
+        func=lambda x, t, u: 0.3 * np.asarray(u, dtype=float),
+        lipschitz_u=0.3,
+        sup_at_zero=0.0,
+        tv_bound=lambda t: 0.0,
+        linear=True,
+    ),
+    # dt |g| stays under half an ulp of the states, so no state moves.
+    "trickle": SourceDescriptor(
+        func=lambda x, t, u: 1e-15 * (np.asarray(u, dtype=float) - 0.5),
+        lipschitz_u=1e-15,
+        sup_at_zero=5e-16,
+        tv_bound=lambda t: 0.0,
+    ),
+}
+PARITY_FLUXES = {
+    "godunov": godunov(burgers_flux()),
+    "lax-friedrichs": lax_friedrichs(burgers_flux(), viscosity=1.0),
+    "engquist-osher": engquist_osher(burgers_flux()),
+    "central": lax_friedrichs(burgers_flux(), viscosity=0.0),
+}
+
+
+def riemann_records(left: float, right: float, flux_kind: str, source: str,
+                    n_cells: int = 40, t_final: float = 0.3):
+    """Steps of a Burgers Riemann problem on [-0.5, 0.5], jump at 0."""
+    fluxdesc = PARITY_FLUXES[flux_kind]
+    grid = build_grid(-0.5, 0.5, n_cells)
+    field = CellField(grid, np.where(grid.cell_centers < 0.0, left, right))
+    records = []
+    run(field, fluxdesc=fluxdesc, src=PARITY_SOURCES[source],
+        bc=BoundarySpec.dirichlet_pair(left, right),
+        time_axis=TimeAxis(t_final, dt_max=0.05, cfl_number=0.8),
+        observers=[records.append])
+    return records
+
+
+def three_batch_supremum(rec):
+    """Reference for entropy_residual_max on a flux not declared linear:
+    the search with the kink rows, the midpoints and the vertices evaluated
+    in three numerical flux calls over every cell, flat or not.
+
+    Returns (max_residual, cell_index, k_value, tolerance).
+    """
+    before = rec.field_before.values
+    bar = rec.field_bar.values
+    after = rec.field_after.values
+    n = bar.size
+    dtdx = rec.dt / rec.field_before.grid.dx
+    ext = np.concatenate([[rec.ghost_left], bar, [rec.ghost_right]])
+    gsrc = np.asarray(rec.src.eval(rec.field_before.grid.cell_centers,
+                                   rec.t_before, bar), dtype=float)
+    # Leading axis: right interface (bar_j, bar_{j+1}), left (bar_{j-1}, bar_j).
+    a = np.stack([ext[1:-1], ext[:-2]])[:, None, :]
+    b = np.stack([ext[2:], ext[1:-1]])[:, None, :]
+
+    def residual_rows(k):
+        g = numerical_entropy_flux(rec.fluxdesc, a, b, k)
+        s = np.where(bar == k, -np.sign(gsrc), np.sign(bar - k))
+        return (np.abs(after - k) - np.abs(before - k)
+                + dtdx * (g[0] - g[1])
+                - s * rec.dt * gsrc)
+
+    local = np.stack([before, after, ext[:-2], bar, ext[2:]])
+    tolerance = 1e-10 * max(1.0, float(np.abs(local[:2]).max()))
+    lo = local.min(axis=0)
+    hi = local.max(axis=0)
+    rows = [local, lo[None, :] - 1.0, hi[None, :] + 1.0]
+    rows += [np.full((1, n), c) for c in critical_points(
+        rec.fluxdesc.physical, float(lo.min()), float(hi.max()))]
+    k_rows = np.sort(np.vstack(rows), axis=0)
+    r_rows = residual_rows(k_rows)
+    k1, k2 = k_rows[:-1], k_rows[1:]
+    r1, r2 = r_rows[:-1], r_rows[1:]
+    half = 0.5 * (k2 - k1)
+    live = half > 1e-13 * np.maximum(1.0, np.abs(k1) + np.abs(k2))
+    km = k1 + half
+    rm = residual_rows(km)
+    arch = r1 - 2.0 * rm + r2
+    shift = np.zeros_like(km)
+    np.divide(-half * (r2 - r1), 2.0 * arch, out=shift,
+              where=live & (arch < 0.0))
+    kv = km + np.clip(shift, -half, half)
+    rv = residual_rows(kv)
+    dead = ~np.any(live, axis=1)
+    rm[dead] = -np.inf
+    rv[dead] = -np.inf
+    cand_r = np.concatenate([r_rows, np.stack([rm, rv], axis=1).reshape(-1, n)])
+    cand_k = np.concatenate([k_rows, np.stack([km, kv], axis=1).reshape(-1, n)])
+    cell = int(np.argmax(cand_r.max(axis=0)))
+    row = int(np.argmax(cand_r[:, cell]))
+    return (float(cand_r[row, cell]), cell, float(cand_k[row, cell]),
+            tolerance)
+
+
 class TestBatchedSupremum:
     @pytest.mark.parametrize("tie_sign", [0.0, 1.0, -1.0])
     @pytest.mark.parametrize("records", ["burgers_shock_records",
@@ -358,24 +457,31 @@ class TestBatchedSupremum:
             assert res.k_value == pytest.approx(k_value, rel=1e-12), step
 
     @pytest.mark.parametrize("case", ["linear", "burgers"])
-    def test_one_check_makes_three_flux_calls(self, case, testcase2_records,
-                                              monkeypatch):
+    def test_one_check_makes_at_most_two_flux_calls(self, case,
+                                                    testcase2_records,
+                                                    monkeypatch):
         # A flux declared linear is searched at its kink rows only, and
         # under Godunov with a nonnegative speed those take f(a) directly,
-        # with no call. Burgers adds the midpoint and vertex batches; its
-        # jump from -1 to 1 straddles the critical point 0, which adds an
-        # eighth k row.
+        # with no call. Burgers evaluates its kink rows with their
+        # midpoints in one batch and the vertices in a second; its jump
+        # from -1 to 1 straddles the critical point 0, which adds an eighth
+        # k row, so the first batch holds 8 rows and 7 midpoints. Only the
+        # two cells next to the jump are not flat, so both calls take two
+        # columns.
         if case == "linear":
             rec = testcase2_records[5]
             expected = []
         else:
             rec = expansion_shock_record(godunov(burgers_flux()))
-            expected = [(2, 2, 8, 10), (2, 2, 7, 10), (2, 2, 7, 10)]
+            expected = [(2, 2, 15, 2), (2, 2, 7, 2)]
         shapes, _ = flux_call_shapes(monkeypatch, rec, rec.fluxdesc)
         assert shapes == expected
 
-    def test_undeclared_linear_flux_keeps_the_three_batch_search(
+    def test_undeclared_linear_flux_takes_the_two_batch_search(
             self, testcase2_records, monkeypatch):
+        # The sink changes every cell of the line, so none is flat: both
+        # batches take every column, 7 rows with 6 midpoints, then 6
+        # vertices.
         rec = testcase2_records[5]
         undeclared = dataclasses.replace(
             rec.fluxdesc,
@@ -383,8 +489,51 @@ class TestBatchedSupremum:
         )
         shapes, res = flux_call_shapes(monkeypatch, rec, undeclared)
         n = rec.field_bar.values.size
-        assert shapes == [(2, 2, 7, n), (2, 2, 6, n), (2, 2, 6, n)]
+        assert shapes == [(2, 2, 13, n), (2, 2, 6, n)]
         assert res == entropy_residual_max(rec)
+
+    @pytest.mark.parametrize("source", sorted(PARITY_SOURCES))
+    @pytest.mark.parametrize("flux_kind", sorted(PARITY_FLUXES))
+    @pytest.mark.parametrize("left,right", [
+        (1.0, 0.0), (0.0, 1.0), (1.0, -0.5), (-1.0, 1.0), (0.25, 0.25),
+    ], ids=["shock", "rarefaction", "sonic-shock", "sonic-rarefaction",
+            "still"])
+    def test_every_step_equals_the_three_batch_search(self, left, right,
+                                                      flux_kind, source):
+        # Skipping flat cells and merging the rows with the midpoints must
+        # not move a single bit of the result. The sonic data's critical
+        # point 0 lies inside their range. The central flux keeps the
+        # sonic rarefaction as a frozen expansion shock, whose steps
+        # violate the inequality inside the jump: there a cell whose
+        # downwind state alone differs is not flat. The trickle source
+        # moves no state by a float, so its flat cells carry a nonzero
+        # source term of either sign; on still data every cell is flat
+        # and that term alone makes the result.
+        records = riemann_records(left, right, flux_kind, source)
+        assert len(records) > 5
+        for rec in records:
+            res = entropy_residual_max(rec)
+            assert (res.max_residual, res.cell_index, res.k_value,
+                    res.tolerance) == three_batch_supremum(rec), rec.t_before
+
+    @pytest.mark.parametrize("values", [
+        np.full(10, np.inf),
+        np.array([-1.0] * 5 + [1.0, 1.0, np.nan, 1.0, 1.0]),
+    ], ids=["inf-in-every-cell", "nan-in-one-cell"])
+    @pytest.mark.parametrize("fluxdesc", [
+        godunov(burgers_flux()),
+        lax_friedrichs(burgers_flux(), viscosity=1.0),
+    ], ids=["godunov", "lax-friedrichs"])
+    def test_non_finite_flat_cells_are_refused(self, fluxdesc, values):
+        # Where every state is inf every cell is flat, so no state reaches
+        # eval_flux; the refusal must not depend on that.
+        grid = build_grid(-0.5, 0.5, 10)
+        field = CellField.adopt(grid, values.copy(), 0.0)
+        # A decay source: zero_source's 0 * inf would warn before the check.
+        rec = make_step_record(field, field, field, values[0], values[-1],
+                               0.0, 0.0, 0.05, fluxdesc, proportional_decay(0.1))
+        with pytest.raises(ValueError, match="non-finite"):
+            entropy_residual_max(rec)
 
     @pytest.mark.parametrize("fluxdesc", [
         lax_friedrichs(linear_flux(0.72), viscosity=1.0),
