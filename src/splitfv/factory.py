@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .flux import NumericalFluxDescriptor, godunov, linear_flux
+from .flux import NumericalFluxDescriptor, linear_flux
 from .mesh import CellField, Grid1D, TimeAxis
 from .source import SourceDescriptor
 from .splitting import (
@@ -53,9 +53,10 @@ _STEADY_MAX_ITERS = 1000
 class YieldLoss:
     """Space-dependent removal-rate profile c(x) >= 0 on [0, 1].
 
-    kind is one of 'none', 'constant-rate', 'piecewise-linear'. A
-    piecewise-linear profile interpolates (position, rate) breakpoints and
-    holds the end values constant outside their span.
+    kind is one of 'none', 'constant-rate', 'piecewise-linear'. Every
+    kind is held as one (position, rate) breakpoint table, interpolated
+    and held constant outside its span: a flat profile is the single
+    breakpoint (0, rate), with rate 0 for 'none' whatever `rate` says.
     """
 
     kind: str
@@ -71,17 +72,20 @@ class YieldLoss:
         if self.kind == "piecewise-linear":
             if len(self.breakpoints) < 2:
                 raise ValueError("piecewise-linear profile needs at least two breakpoints")
-            xs = np.array([b[0] for b in self.breakpoints], dtype=float)
-            rs = np.array([b[1] for b in self.breakpoints], dtype=float)
-            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(rs))):
-                raise ValueError("breakpoints must be finite")
-            if np.any(np.diff(xs) <= 0.0):
-                raise ValueError("breakpoint positions must be strictly increasing")
-            if np.any(rs < 0.0):
-                raise ValueError("breakpoint rates must be >= 0")
-            # Built once here, read by every rate_at call of the sink.
-            object.__setattr__(self, "_xs", xs)
-            object.__setattr__(self, "_rs", rs)
+            points = self.breakpoints
+        else:
+            points = ((0.0, self.rate if self.kind == "constant-rate" else 0.0),)
+        xs = np.array([b[0] for b in points], dtype=float)
+        rs = np.array([b[1] for b in points], dtype=float)
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(rs))):
+            raise ValueError("breakpoints must be finite")
+        if np.any(np.diff(xs) <= 0.0):
+            raise ValueError("breakpoint positions must be strictly increasing")
+        if np.any(rs < 0.0):
+            raise ValueError("breakpoint rates must be >= 0")
+        # Built once here, read by every rate_at call of the sink.
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_rs", rs)
 
     @classmethod
     def none(cls) -> YieldLoss:
@@ -98,25 +102,14 @@ class YieldLoss:
 
     def rate_at(self, x):
         """Removal rate at position(s) x; matches the shape of x."""
-        if self.kind == "none":
-            return np.zeros_like(np.asarray(x, dtype=float))
-        if self.kind == "constant-rate":
-            return np.full_like(np.asarray(x, dtype=float), self.rate)
         return np.interp(np.asarray(x, dtype=float), self._xs, self._rs)
 
     def max_rate(self) -> float:
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "constant-rate":
-            return self.rate
-        return max(r for _, r in self.breakpoints)
+        return float(self._rs.max())
 
     def rate_tv(self) -> float:
         """Total variation of the profile in x (0 for flat profiles)."""
-        if self.kind != "piecewise-linear":
-            return 0.0
-        rs = [r for _, r in self.breakpoints]
-        return float(np.sum(np.abs(np.diff(rs))))
+        return float(np.sum(np.abs(np.diff(self._rs))))
 
 
 def as_source(profile: YieldLoss, u_max: float = 0.0) -> SourceDescriptor:
@@ -293,17 +286,14 @@ def constant_yield_steady_state(influx_rate: float, rate: float,
 # =============================================================
 
 def transport_descriptor(speed: float, flux_kind: str) -> NumericalFluxDescriptor:
-    phys = linear_flux(speed)
-    if flux_kind == "upwind-linear":
-        # linear_flux is linear by construction; only the sign needs a check.
-        if speed < 0:
-            raise ValueError(f"upwind-linear requires speed >= 0, got {float(speed)}")
-        return NumericalFluxDescriptor("upwind-linear", phys)
-    if flux_kind == "godunov":
-        return godunov(phys)
-    raise ValueError(
-        f"flux_kind must be one of {FACTORY_FLUX_KINDS}, got {flux_kind!r}"
-    )
+    """Descriptor of kind flux_kind (one of FACTORY_FLUX_KINDS) on the frozen
+    linear flux f(u) = speed * u; the descriptor itself refuses upwind-linear
+    at a negative speed."""
+    if flux_kind not in FACTORY_FLUX_KINDS:
+        raise ValueError(
+            f"flux_kind must be one of {FACTORY_FLUX_KINDS}, got {flux_kind!r}"
+        )
+    return NumericalFluxDescriptor(flux_kind, linear_flux(speed))
 
 
 def run_factory(model: FactoryModel, initial: CellField | float,

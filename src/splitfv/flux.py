@@ -25,12 +25,14 @@ them no search runs. Other fluxes are searched by a slope scan and
 bisection on every Godunov or Engquist-Osher call.
 
 A physical flux may also declare itself linear, f(u) = f(1) * u, as
-linear_flux and zero_flux do. upwind-linear accepts only such a flux. On
-one with f(1) >= 0 Godunov is upwind to the float (_is_upwind): rounded f is
-nondecreasing, so its min or max over [a, b] is f(a), which eval_flux and
-the entropy check (diagnostics.entropy_residual_max) take directly. The
-check also reads the declaration to search k at the residual's kinks alone.
-An undeclared flux is never treated as linear, whatever its shape.
+linear_flux and zero_flux do; it then holds its speed f(1), read once at
+construction. A descriptor of kind upwind-linear refuses any other flux,
+and one with f(1) < 0, however it is built. On a linear flux with f(1) >= 0
+Godunov is upwind to the float (_is_upwind): rounded f is nondecreasing,
+so its min or max over [a, b] is f(a), which eval_flux and the entropy
+check (diagnostics.entropy_residual_max) take directly. The check also
+reads the declaration to search k at the residual's kinks alone. An
+undeclared flux is never treated as linear, whatever its shape.
 
 The viscosity alpha of lax-friedrichs must reach sup|f'| over the working
 range for monotonicity; smaller values are accepted by the constructor so
@@ -70,6 +72,9 @@ class PhysicalFlux:
             a false one makes upwind-linear inconsistent and lets the
             entropy check miss a maximum inside a piece, or take f(a) for
             a Godunov flux.
+
+    `speed` is derived, not passed: f(1) as a float for a flux declared
+    linear, None otherwise. It is the one place f(1) is evaluated.
     """
 
     func: Callable
@@ -77,6 +82,10 @@ class PhysicalFlux:
     lipschitz_on: Callable | None = None
     critical: tuple[float, ...] | None = None
     linear: bool = False
+
+    def __post_init__(self):
+        speed = float(self.func(np.asarray(1.0))) if self.linear else None
+        object.__setattr__(self, "speed", speed)
 
     def eval(self, u):
         out = self.func(np.asarray(u, dtype=float))
@@ -151,7 +160,12 @@ def zero_flux() -> PhysicalFlux:
 
 @dataclass(frozen=True)
 class NumericalFluxDescriptor:
-    """A numerical flux kind bound to a physical flux."""
+    """A numerical flux kind bound to a physical flux.
+
+    Kind upwind-linear is monotone only on f(u) = c*u with c >= 0, so it
+    is refused (ValueError) unless the flux is declared linear with speed
+    f(1) >= 0, whichever way the descriptor is built.
+    """
 
     kind: str
     physical: PhysicalFlux
@@ -162,19 +176,20 @@ class NumericalFluxDescriptor:
             raise ValueError(f"unknown flux kind {self.kind!r}, expected one of {FLUX_KINDS}")
         if not np.isfinite(self.viscosity) or self.viscosity < 0:
             raise ValueError(f"viscosity must be >= 0, got {self.viscosity}")
+        if self.kind == "upwind-linear":
+            speed = self.physical.speed
+            if speed is None:
+                raise ValueError(
+                    "upwind-linear requires a flux declared linear "
+                    "(PhysicalFlux(..., linear=True), f(u) = c*u)"
+                )
+            if speed < 0:
+                raise ValueError(f"upwind-linear requires speed >= 0, got {speed}")
 
 
 def upwind_linear(physical: PhysicalFlux) -> NumericalFluxDescriptor:
-    """Upwind flux F(a, b) = f(a); requires a flux declared linear, with
-    nonnegative speed f(1)."""
-    if not physical.linear:
-        raise ValueError(
-            "upwind-linear requires a flux declared linear "
-            "(PhysicalFlux(..., linear=True), f(u) = c*u)"
-        )
-    c = physical.eval(1.0)
-    if c < 0:
-        raise ValueError(f"upwind-linear requires speed >= 0, got {c}")
+    """Upwind flux F(a, b) = f(a); the descriptor refuses a flux not
+    declared linear, or with speed f(1) < 0."""
     return NumericalFluxDescriptor("upwind-linear", physical)
 
 
@@ -265,10 +280,10 @@ def _engquist_osher_eval(phys: PhysicalFlux, a: np.ndarray, b: np.ndarray) -> np
 
 def _is_upwind(desc: NumericalFluxDescriptor) -> bool:
     """Whether F(a, b) is f(a) to the float: upwind-linear, or Godunov on a
-    flux declared linear with f(1) >= 0."""
+    flux declared linear with speed f(1) >= 0 (read from `speed`)."""
+    speed = desc.physical.speed
     return desc.kind == "upwind-linear" or (
-        desc.kind == "godunov" and desc.physical.linear
-        and desc.physical.eval(1.0) >= 0.0)
+        desc.kind == "godunov" and speed is not None and speed >= 0.0)
 
 
 def eval_flux(desc: NumericalFluxDescriptor, a, b):
@@ -364,16 +379,19 @@ def max_dt(
     field: CellField,
     cfl_number: float,
     dt_cap: float = np.inf,
+    ghosts: tuple[float, ...] = (),
 ) -> float:
     """Largest stable step for the explicit transport update on this field.
 
     Returns cfl_number * dx / L where L = flux_lipschitz over the current
-    field range; degenerate fluxes (L = 0) return the caller's dt_cap.
+    field range widened to the `ghosts` values, which should be the ghost
+    cells the step will use; degenerate fluxes (L = 0) return the caller's
+    dt_cap.
     """
     if not (0.0 < cfl_number <= 1.0):
         raise ValueError(f"cfl_number must be in (0, 1], got {cfl_number}")
     lo, hi = field.bounds
-    L = flux_lipschitz(desc, lo, hi)
+    L = flux_lipschitz(desc, min((lo, *ghosts)), max((hi, *ghosts)))
     if L <= 0.0:
         return dt_cap
     return min(cfl_number * field.grid.dx / L, dt_cap)

@@ -18,8 +18,9 @@ the hard CFL limit, and march every step through `split_step`.
 
 Boundaries: the left boundary is either a Dirichlet trace or an influx
 rate; an influx ghost is the rate divided by the speed f(1) of the step's
-physical flux, which must be declared linear (f(u) = f(1) u). The right
-boundary is outflow (zero-gradient copy) or Dirichlet.
+physical flux (PhysicalFlux.speed), which must be declared linear
+(f(u) = f(1) u). The right boundary is outflow (zero-gradient copy) or
+Dirichlet.
 """
 
 from __future__ import annotations
@@ -119,16 +120,17 @@ def fill_ghosts(field_bar: CellField, bc: BoundarySpec,
                 flux: PhysicalFlux | None = None) -> tuple[float, float]:
     """Ghost cell values flanking the post-source field at its time.
 
-    An influx ghost is the rate divided by the speed f(1) of `flux`, which
-    must be declared linear; any other flux is refused (ValueError).
+    An influx ghost is the rate divided by the speed f(1) of `flux`, read
+    from `flux.speed`; a flux not declared linear has none and is refused
+    (ValueError).
     """
     t = field_bar.time
     if bc.left_kind == "dirichlet":
         ghost_left = float(bc.left_schedule(t))
     else:
-        if flux is None or not flux.linear:
+        speed = None if flux is None else flux.speed
+        if speed is None:
             raise ValueError("an influx boundary needs a flux declared linear")
-        speed = flux.eval(1.0)
         if speed <= JAM_VELOCITY_FLOOR:
             raise JammedLineError(
                 f"transport velocity {speed} at t={t} is at or below "
@@ -412,15 +414,17 @@ def run(initial: CellField, fluxdesc: NumericalFluxDescriptor,
         checkpoint_times: Sequence[float] = ()) -> RunReport:
     """March a fixed-flux problem from the initial field to time_axis.t_final.
 
-    dt is the CFL step of the current field, capped by time_axis.dt_max
-    and by the source stage's contraction limit.
+    dt is the CFL step of the current field and its ghosts at its time,
+    the range the transport stage's CFL guard checks, capped by
+    time_axis.dt_max and by the source stage's contraction limit.
     """
 
     cfl_number = min(time_axis.cfl_number, 1.0 - _CFL_MARGIN)
     dt_cap = min(time_axis.dt_max, _source_dt_limit(src))
 
     def pick_dt(field: CellField, report: RunReport) -> float:
-        return max_dt(fluxdesc, field, cfl_number, dt_cap)
+        ghosts = fill_ghosts(field, bc, fluxdesc.physical)
+        return max_dt(fluxdesc, field, cfl_number, dt_cap, ghosts)
 
     return march(
         initial, time_axis.t_final, pick_dt, src, bc, lambda bar: fluxdesc,

@@ -26,16 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import EntropyObserver
-from .flux import (
-    NumericalFluxDescriptor,
-    PhysicalFlux,
-    burgers_flux,
-    engquist_osher,
-    godunov,
-    lax_friedrichs,
-    linear_flux,
-    upwind_linear,
-)
+from .flux import NumericalFluxDescriptor, PhysicalFlux, burgers_flux, linear_flux
 from .mesh import CellField, TimeAxis, build_grid, l1_distance, project_initial
 from .source import SourceDescriptor, proportional_decay, zero_source
 from .splitting import BoundarySpec, RunReport, run
@@ -104,15 +95,8 @@ class TestProblem:
     viscosity: float = 0.0
 
     def fluxdesc(self) -> NumericalFluxDescriptor:
-        if self.flux_kind == "upwind-linear":
-            return upwind_linear(self.physical)
-        if self.flux_kind == "lax-friedrichs":
-            return lax_friedrichs(self.physical, self.viscosity)
-        if self.flux_kind == "godunov":
-            return godunov(self.physical)
-        if self.flux_kind == "engquist-osher":
-            return engquist_osher(self.physical)
-        raise ValueError(f"unknown flux kind {self.flux_kind!r}")
+        """The problem's numerical flux; the descriptor checks the kind."""
+        return NumericalFluxDescriptor(self.flux_kind, self.physical, self.viscosity)
 
 
 def advection_decay_problem(speed: float = 0.72, rate: float = 0.03,
@@ -137,12 +121,10 @@ def advection_decay_problem(speed: float = 0.72, rate: float = 0.03,
     )
 
 
-def burgers_shock_problem(u_left: float = 1.0, u_right: float = 0.0,
-                          x0: float = 0.0, t_final: float = 0.5,
-                          flux_kind: str = "godunov") -> TestProblem:
-    """Burgers Riemann problem with a right-moving entropy shock."""
-    if u_left <= u_right:
-        raise ValueError("shock problem needs u_left > u_right")
+def _burgers_riemann_problem(name: str, u_left: float, u_right: float,
+                             x0: float, half_width: float, t_final: float,
+                             flux_kind: str) -> TestProblem:
+    """Burgers Riemann problem on the window x0 +- half_width."""
 
     def u0(x):
         return rankine_hugoniot_shock(u_left, u_right, x0, 0.0)(x)
@@ -151,16 +133,26 @@ def burgers_shock_problem(u_left: float = 1.0, u_right: float = 0.0,
         return rankine_hugoniot_shock(u_left, u_right, x0, t)(x)
 
     return TestProblem(
-        name="burgers-shock",
+        name=name,
         physical=burgers_flux(),
         flux_kind=flux_kind,
         source=zero_source(),
         initial=u0,
         exact=exact,
         t_final=t_final,
-        x_min=x0 - 0.5,
-        x_max=x0 + 0.5,
+        x_min=x0 - half_width,
+        x_max=x0 + half_width,
     )
+
+
+def burgers_shock_problem(u_left: float = 1.0, u_right: float = 0.0,
+                          x0: float = 0.0, t_final: float = 0.5,
+                          flux_kind: str = "godunov") -> TestProblem:
+    """Burgers Riemann problem with a right-moving entropy shock."""
+    if u_left <= u_right:
+        raise ValueError("shock problem needs u_left > u_right")
+    return _burgers_riemann_problem("burgers-shock", u_left, u_right, x0, 0.5,
+                                    t_final, flux_kind)
 
 
 def burgers_rarefaction_problem(u_left: float = 0.0, u_right: float = 1.0,
@@ -169,24 +161,8 @@ def burgers_rarefaction_problem(u_left: float = 0.0, u_right: float = 1.0,
     """Burgers Riemann problem opening into a rarefaction fan."""
     if u_left >= u_right:
         raise ValueError("rarefaction problem needs u_left < u_right")
-
-    def u0(x):
-        return rankine_hugoniot_shock(u_left, u_right, x0, 0.0)(x)
-
-    def exact(x, t):
-        return rankine_hugoniot_shock(u_left, u_right, x0, t)(x)
-
-    return TestProblem(
-        name="burgers-rarefaction",
-        physical=burgers_flux(),
-        flux_kind=flux_kind,
-        source=zero_source(),
-        initial=u0,
-        exact=exact,
-        t_final=t_final,
-        x_min=x0 - 0.75,
-        x_max=x0 + 0.75,
-    )
+    return _burgers_riemann_problem("burgers-rarefaction", u_left, u_right,
+                                    x0, 0.75, t_final, flux_kind)
 
 
 # =============================================================

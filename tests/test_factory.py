@@ -54,9 +54,16 @@ class TestYieldLoss:
         assert loss.max_rate() == 0.0
         assert loss.rate_tv() == 0.0
 
+    def test_none_ignores_its_rate(self):
+        loss = YieldLoss("none", rate=5.0)
+        assert np.all(loss.rate_at(np.array([-1.0, 0.5, 2.0])) == 0.0)
+        assert loss.max_rate() == 0.0
+
     def test_constant_rate(self):
         loss = YieldLoss.constant(0.03)
-        assert_allclose(loss.rate_at(np.array([0.0, 0.3, 1.0])), 0.03)
+        x = np.array([-1.0, 0.0, 0.3, 1.0, 2.0])
+        # Flat profiles give the rate itself at every position, as floats.
+        assert loss.rate_at(x).tobytes() == np.full(5, 0.03).tobytes()
         assert loss.max_rate() == 0.03
         assert loss.rate_tv() == 0.0
 

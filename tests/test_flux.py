@@ -87,6 +87,17 @@ class TestPhysicalFlux:
     def test_nonlinear_fluxes_do_not(self, make_phys):
         assert make_phys().linear is False
 
+    @pytest.mark.parametrize("c", [0.0, 0.72, -0.5, 1.0 / 3.0])
+    def test_linear_flux_speed_is_f_of_one(self, c):
+        phys = linear_flux(c)
+        assert phys.speed == phys.eval(1.0)
+        assert type(phys.speed) is float
+
+    def test_speed_is_none_unless_declared_linear(self):
+        assert burgers_flux().speed is None
+        assert zero_flux().speed == 0.0
+        assert dataclasses.replace(linear_flux(0.72), linear=False).speed is None
+
     def test_bound_without_declared_lipschitz_samples_derivative(self):
         phys = cubic_flux()
         # sup |u^2 - 1| over [-2, 2] is 3 (at the endpoints).
@@ -123,6 +134,22 @@ class TestDescriptors:
     def test_upwind_linear_accepts_zero_speed(self):
         assert upwind_linear(zero_flux()).kind == "upwind-linear"
         assert upwind_linear(linear_flux(0.0)).kind == "upwind-linear"
+
+    def test_upwind_linear_is_refused_however_the_descriptor_is_built(self):
+        # The descriptor checks its own kind, so building it directly or
+        # swapping the flux of a checked one goes through the same refusals.
+        with pytest.raises(ValueError) as nonlinear:
+            NumericalFluxDescriptor("upwind-linear", burgers_flux())
+        assert str(nonlinear.value) == (
+            "upwind-linear requires a flux declared linear "
+            "(PhysicalFlux(..., linear=True), f(u) = c*u)")
+        with pytest.raises(ValueError) as negative:
+            NumericalFluxDescriptor("upwind-linear", linear_flux(-0.5))
+        assert str(negative.value) == "upwind-linear requires speed >= 0, got -0.5"
+        with pytest.raises(ValueError) as swapped:
+            dataclasses.replace(upwind_linear(linear_flux(1.0)),
+                                physical=linear_flux(-1.0))
+        assert str(swapped.value) == "upwind-linear requires speed >= 0, got -1.0"
 
     def test_lax_friedrichs_rejects_negative_viscosity(self):
         with pytest.raises(ValueError):
@@ -509,6 +536,15 @@ class TestLipschitzAndMaxDt:
         field = CellField(grid, np.zeros(10))
         desc = godunov(zero_flux())
         assert max_dt(desc, field, 0.9, dt_cap=0.125) == pytest.approx(0.125)
+
+    def test_max_dt_widens_the_range_to_the_ghosts(self):
+        # A ghost outside the field's values raises sup|f'| for the step.
+        grid = build_grid(0.0, 1.0, 100)
+        field = CellField(grid, np.linspace(0.0, 1.0, 100))
+        desc = godunov(burgers_flux())
+        assert max_dt(desc, field, 1.0, ghosts=(0.5, 2.0)) == pytest.approx(0.005)
+        assert max_dt(desc, field, 1.0, ghosts=(-4.0, 0.0)) == pytest.approx(0.0025)
+        assert max_dt(desc, field, 1.0, ghosts=(0.2, 0.9)) == max_dt(desc, field, 1.0)
 
     def test_max_dt_rejects_bad_cfl(self):
         grid = build_grid(0.0, 1.0, 10)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from splitfv import (
     CellField,
     CFLViolationError,
     JammedLineError,
+    NumericalFluxDescriptor,
     PhysicalFlux,
     TimeAxis,
     build_grid,
@@ -215,6 +218,35 @@ def shock_run(n_cells=64, t_final=0.4, checkpoint_times=(), **kwargs):
 
 
 class TestRun:
+    def test_dt_is_sized_over_the_ghosts_the_guard_checks(self):
+        # The decay pulls the field below the right Dirichlet ghost 1.0; a
+        # dt sized over the field alone then fails the transport stage's
+        # CFL guard, which checks the ghosts too.
+        grid = build_grid(-0.5, 0.5, 40)
+        initial = CellField(grid, np.where(grid.cell_centers < 0.0, 0.0, 1.0))
+        report = run(initial, godunov(burgers_flux()), proportional_decay(0.5),
+                     BoundarySpec.dirichlet_pair(0.0, 1.0),
+                     TimeAxis(0.3, dt_max=0.05))
+        assert report.times[-1] == pytest.approx(0.3, abs=1e-12)
+        assert report.n_steps == 14
+        # L = 1 at the ghost, so each full step is 0.9 dx.
+        assert max(report.dts) == pytest.approx(0.9 * grid.dx, rel=1e-12)
+
+    @pytest.mark.parametrize("make_desc", [
+        lambda: NumericalFluxDescriptor("upwind-linear", burgers_flux()),
+        lambda: NumericalFluxDescriptor("upwind-linear", linear_flux(-0.5)),
+        lambda: dataclasses.replace(upwind_linear(linear_flux(1.0)),
+                                    physical=linear_flux(-1.0)),
+    ], ids=["burgers", "negative-speed", "replaced-flux"])
+    def test_no_step_under_a_non_monotone_upwind_descriptor(self, make_desc):
+        grid = build_grid(0.0, 1.0, 20)
+        steps = []
+        with pytest.raises(ValueError, match="upwind-linear requires"):
+            run(CellField(grid, np.full(20, 0.5)), make_desc(), zero_source(),
+                BoundarySpec.dirichlet_outflow(0.5), TimeAxis(0.1),
+                observers=[steps.append])
+        assert steps == []
+
     def test_lands_exactly_on_final_and_checkpoint_times(self):
         report = shock_run(checkpoint_times=(0.0, 0.1537, 0.4))
         assert report.times[-1] == pytest.approx(0.4, abs=1e-12)
