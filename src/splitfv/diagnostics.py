@@ -337,8 +337,14 @@ class BoundCheckResult:
 
 
 def _finish_bound(name: str, extended: bool, reference: float,
-                  times: np.ndarray, bounds: np.ndarray,
+                  times: np.ndarray, rate: float, base: float | np.ndarray,
                   observed: np.ndarray) -> BoundCheckResult:
+    # Envelope base * exp(rate (t - t0)): +inf where the growth factor
+    # overflows (a step near the source's contraction limit makes it
+    # vacuous), and exactly 0 where base is 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = np.exp(rate * (times - times[0])) * base
+    bounds = np.where(np.asarray(base) == 0.0, 0.0, bounds)
     margins = bounds - observed
     worst = int(np.argmin(margins))
     return BoundCheckResult(
@@ -369,11 +375,8 @@ def check_linf_bound(report: RunReport, cfg: BoundCheckConfig) -> BoundCheckResu
             float(np.max(np.abs(report.ghost_right))),
         )
     reference = max(observed[0], ghost_sup)
-    c0 = cfg.envelope_rate
-    bounds = np.exp(c0 * (times - times[0])) * reference
-    return _finish_bound(
-        "linf", report.n_steps > 0, reference, times, bounds, observed
-    )
+    return _finish_bound("linf", report.n_steps > 0, reference, times,
+                         cfg.envelope_rate, reference, observed)
 
 
 def check_tv_bound(report: RunReport, cfg: BoundCheckConfig) -> BoundCheckResult:
@@ -404,11 +407,9 @@ def check_tv_bound(report: RunReport, cfg: BoundCheckConfig) -> BoundCheckResult
     else:
         tv0_ext = tv0
         gtv = np.zeros(len(times))
-    c0 = cfg.envelope_rate
-    bounds = np.exp(c0 * (times - times[0])) * (tv0_ext + gtv + cfg.source_tv_l1)
-    return _finish_bound(
-        "tv", report.n_steps > 0, float(tv0_ext), times, bounds, observed
-    )
+    return _finish_bound("tv", report.n_steps > 0, float(tv0_ext), times,
+                         cfg.envelope_rate, tv0_ext + gtv + cfg.source_tv_l1,
+                         observed)
 
 
 # =============================================================

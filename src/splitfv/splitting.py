@@ -163,7 +163,6 @@ class StepRecord:
     ghost_right: float
     flux_left: float
     flux_right: float
-    exited_working_range: bool
     fluxdesc: NumericalFluxDescriptor
     src: SourceDescriptor
 
@@ -216,19 +215,7 @@ def make_step_record(field_before: CellField, field_bar: CellField,
                      ghost_right: float, flux_left: float, flux_right: float,
                      dt: float, fluxdesc: NumericalFluxDescriptor,
                      src: SourceDescriptor) -> StepRecord:
-    """Assemble a StepRecord, flagging exits from the pre-step working range.
-
-    The working range is the pre-step value range padded by 10% of its
-    scale; leaving it does not invalidate the step (the CFL guard already
-    ran against the actual stencil), it is reported so drifting runs are
-    visible in the diagnostics.
-    """
-    lo, hi = field_before.bounds
-    pad = 0.1 * max(hi - lo, abs(lo), abs(hi))
-    after_lo, after_hi = field_after.bounds
-    stencil_lo = min(after_lo, ghost_left, ghost_right)
-    stencil_hi = max(after_hi, ghost_left, ghost_right)
-    exited = stencil_lo < lo - pad or stencil_hi > hi + pad
+    """Assemble the StepRecord of one accepted step; it checks nothing."""
     return StepRecord(
         t_before=field_before.time,
         dt=dt,
@@ -239,7 +226,6 @@ def make_step_record(field_before: CellField, field_bar: CellField,
         ghost_right=ghost_right,
         flux_left=flux_left,
         flux_right=flux_right,
-        exited_working_range=exited,
         fluxdesc=fluxdesc,
         src=src,
     )
@@ -293,7 +279,7 @@ class RunReport:
     the named values of the channels hook given to `march`, each series
     aligned with `times`. Whole states are kept only at the checkpoint
     times and for the final field; an observer that appends each step's
-    rec.field_after.values collects every state.
+    rec.field_after.values collects every state. It holds no verdicts.
     """
 
     initial: CellField
@@ -304,7 +290,6 @@ class RunReport:
     tv_interior: list = dataclass_field(default_factory=list)
     ghost_left: list = dataclass_field(default_factory=list)
     ghost_right: list = dataclass_field(default_factory=list)
-    range_exits: int = 0
     channels: dict = dataclass_field(default_factory=dict)
     checkpoints: dict = dataclass_field(default_factory=dict)
     final_field: CellField | None = None
@@ -331,8 +316,6 @@ class RunReport:
         self.dts.append(rec.dt)
         self.ghost_left.append(rec.ghost_left)
         self.ghost_right.append(rec.ghost_right)
-        if rec.exited_working_range:
-            self.range_exits += 1
         self.final_field = rec.field_after
 
     @property
@@ -415,16 +398,29 @@ def run(initial: CellField, fluxdesc: NumericalFluxDescriptor,
     """March a fixed-flux problem from the initial field to time_axis.t_final.
 
     dt is the CFL step of the current field and its ghosts at its time,
-    the range the transport stage's CFL guard checks, capped by
-    time_axis.dt_max and by the source stage's contraction limit.
+    capped by time_axis.dt_max, the source stage's contraction limit and
+    the hard CFL limit over the range the source stage can reach.
     """
 
     cfl_number = min(time_axis.cfl_number, 1.0 - _CFL_MARGIN)
     dt_cap = min(time_axis.dt_max, _source_dt_limit(src))
+    dx = initial.grid.dx
+    s0, lip = src.sup_at_zero, src.lipschitz_u
 
     def pick_dt(field: CellField, report: RunReport) -> float:
         ghosts = fill_ghosts(field, bc, fluxdesc.physical)
-        return max_dt(fluxdesc, field, cfl_number, dt_cap, ghosts)
+        dt = max_dt(fluxdesc, field, cfl_number, dt_cap, ghosts)
+        # The source stage moves a state by at most dt (s0 + lip |ubar|), with
+        # |ubar| <= (|u| + dt s0) / (1 - dt lip); a smaller dt only shrinks
+        # that reach, so capping dt over the reached range is admissible.
+        lo, hi = field.bounds
+        u_bar = (max(-lo, hi) + dt * s0) / (1.0 - dt * lip)
+        reach = dt * (s0 + lip * u_bar)
+        if reach == 0.0:
+            return dt
+        L = flux_lipschitz(fluxdesc, min(lo - reach, *ghosts),
+                           max(hi + reach, *ghosts))
+        return min(dt, (1.0 - _CFL_MARGIN) * dx / L) if L > 0.0 else dt
 
     return march(
         initial, time_axis.t_final, pick_dt, src, bc, lambda bar: fluxdesc,

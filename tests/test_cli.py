@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +227,10 @@ class TestMainModes:
         assert main([str(cfg)]) == 0
         stdout = capsys.readouterr().out
         assert "final state" in stdout
+        series = np.genfromtxt(out / "timeseries.csv", delimiter=",", names=True)
+        margin = 1.0 - series["wip"].max() / 10.0
+        assert f"steps: {len(series) - 1}, lowest jam margin: {margin:.6g}\n" \
+            in stdout
         ts = (out / "timeseries.csv").read_text().splitlines()
         assert ts[0] == "t,wip,velocity,influx,outflux,tv,linf"
         assert len(ts) > 10
@@ -264,6 +272,35 @@ class TestMainModes:
             assert check in body
         if preset == "testcase2":
             assert "stand-in" in body
+
+    JUMP = "n_cells = 100\nt_final = 2\n"
+    # At the sink's contraction limit dt sits just under 1 / source_rate,
+    # so the envelope rate c / (1 - c dt) is about 2e9: the envelopes are
+    # +inf (vacuous), with no overflow warning, and stay exactly 0 on the
+    # empty line, not nan.
+    SINK_LIMIT = ("v0 = 0.125\nmax_load = 1.0\nn_cells = 10\nt_final = 1.0\n"
+                  "cfl_number = 1.0\ndt_max = 1.0\n"
+                  "source_kind = constant-rate\nsource_rate = 2.0\n")
+
+    @pytest.mark.parametrize("model", [
+        JUMP + "influx_before = 2.0\ninflux_after = 2.3\n",
+        JUMP + "influx_before = 2.4\ninflux_after = 2.0\n",
+        JUMP + "influx_before = 0.5\ninflux_after = 2.0\njump_time = 0.5\n"
+        "source_kind = constant-rate\nsource_rate = 0.03\n",
+        JUMP + "influx_before = 0\ninflux_after = 0\n",
+        SINK_LIMIT + "influx_before = 0.01\ninflux_after = 0.01\n",
+        SINK_LIMIT + "influx_before = 0\ninflux_after = 0\n",
+    ], ids=["rise-15%", "drop-17%", "rise-4x-under-sink", "empty-line",
+            "sink-limit", "sink-limit-empty-line"])
+    def test_verify_passes_valid_runs(self, tmp_path, capsys, model):
+        # The paper's scenario is an influx jump: the new state leaves the
+        # old value range, which no check may count against the run. The
+        # empty line has no value range at all.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path,
+                           f"mode = verify\n{model}output_dir = {out}\n")
+        assert main([str(cfg)]) == 0, capsys.readouterr().err
+        assert "all checks passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("text", [
         "preset = testcase1\ncfl_number = 1.0\nt_final = 2\nn_cells = 50\n",
@@ -506,7 +543,7 @@ def line_configs(draw):
     return "".join(f"{key} = {value}\n" for key, value in keys.items())
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(line_configs())
 def test_random_line_config_is_refused_or_runs_cleanly(text):
     try:
@@ -525,3 +562,12 @@ def test_random_line_config_is_refused_or_runs_cleanly(text):
     assert min(float(snap.min()) for snap in states) >= 0.0
     assert max(report.channels["wip"]) < setup.model.max_load
     assert entropy.passed, entropy.worst
+    # A run that stays valid passes every verify check.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(f"mode = verify\n{text}output_dir = {tmp}\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([str(cfg)])
+    assert code == 0, stdout.getvalue() + stderr.getvalue()
+    assert "all checks passed" in stdout.getvalue()

@@ -30,6 +30,8 @@ from splitfv import (
     verify_source_properties,
     wip,
 )
+from splitfv import factory as factory_module
+from splitfv import splitting
 
 
 def unit_line(n_cells: int):
@@ -443,6 +445,75 @@ class TestRunFactory:
                         atol=5e-3)
         assert_allclose(report.channels["outflux"][-1], target.outflux,
                         atol=5e-3)
+
+
+# =============================================================
+# Exact step invariants under injected defects
+# =============================================================
+
+def inflate_influx_ghost(monkeypatch):
+    fill = splitting.fill_ghosts
+
+    def inflated(field_bar, bc, flux=None):
+        left, right = fill(field_bar, bc, flux)
+        return 1.05 * left, right
+
+    monkeypatch.setattr(splitting, "fill_ghosts", inflated)
+
+
+def slow_transport(monkeypatch):
+    make = factory_module.transport_descriptor
+    monkeypatch.setattr(factory_module, "transport_descriptor",
+                        lambda speed, kind: make(0.9 * speed, kind))
+
+
+class TestStepInvariants:
+    """Two invariants every line step meets to rounding: the boundary flux
+    is the influx rate, and the transport speed is v(WIP(ubar)). An influx
+    ghost x1.05 breaks the first, a transport speed x0.9 the second."""
+
+    @staticmethod
+    def broken(model, records) -> set[str]:
+        eps = np.finfo(float).eps
+        broken = set()
+        for rec in records:
+            # F_0 = f(rate / f(1)) takes two roundings of at most eps/2
+            # relative each, so it is within eps * rate of the rate; the
+            # tolerance allows twice that.
+            rate = model.influx(rec.t_before)
+            if abs(rec.flux_left - rate) > 2.0 * eps * rate:
+                broken.add("boundary-flux")
+            # The speed is v0 (1 - dx sum(ubar) / max_load). Summing n terms
+            # errs by at most n eps/2 of the WIP (recursive bound), and the
+            # product with dx, the quotient, the difference and the product
+            # with v0 by eps/2 each, on the run's side and on this exactly
+            # rounded recomputation alike. With WIP < max_load every term is
+            # at most eps/2 v0, so (n + 8) eps v0 bounds the gap twice over.
+            ubar = rec.field_bar.values
+            w = rec.field_bar.grid.dx * math.fsum(ubar)
+            speed = model.v0 * (1.0 - w / model.max_load)
+            if abs(rec.fluxdesc.physical.speed - speed) > \
+                    (ubar.size + 8) * eps * model.v0:
+                broken.add("line-speed")
+        return broken
+
+    @pytest.mark.parametrize("defect,caught_by", [
+        (None, set()),
+        (inflate_influx_ghost, {"boundary-flux"}),
+        (slow_transport, {"line-speed"}),
+    ], ids=["clean", "influx-ghost-x1.05", "speed-x0.9"])
+    @pytest.mark.parametrize("flux_kind", ["upwind-linear", "godunov"])
+    def test_each_defect_breaks_its_invariant(self, monkeypatch, flux_kind,
+                                              defect, caught_by):
+        if defect is not None:
+            defect(monkeypatch)
+        scenario = preset_scenario("testcase2")
+        records = []
+        run_factory(scenario.model, scenario.initial_density,
+                    time_axis=TimeAxis(0.5, dt_max=0.05), flux_kind=flux_kind,
+                    grid=unit_line(50), observers=[records.append])
+        assert len(records) > 10
+        assert self.broken(scenario.model, records) == caught_by
 
 
 # =============================================================

@@ -15,6 +15,7 @@ from splitfv import (
     JammedLineError,
     NumericalFluxDescriptor,
     PhysicalFlux,
+    SourceDescriptor,
     TimeAxis,
     build_grid,
     burgers_flux,
@@ -182,14 +183,7 @@ class TestStep:
         assert rec.src is src
         assert rec.t_before == 0.0
         assert rec.dt == pytest.approx(0.1)
-        assert not rec.exited_working_range
-
-    def test_working_range_exit_is_flagged(self):
-        field = make_field(np.full(8, 1.0))
-        dx = field.grid.dx
-        rec = step(field, 0.5 * dx, upwind_linear(linear_flux(1.0)),
-                   zero_source(), BoundarySpec.dirichlet_pair(10.0, 1.0))
-        assert rec.exited_working_range
+        assert (rec.ghost_left, rec.ghost_right) == (1.0, 1.0)
 
     def test_rejects_nonpositive_dt(self):
         field = make_field([1.0, 1.0])
@@ -232,6 +226,30 @@ class TestRun:
         # L = 1 at the ghost, so each full step is 0.9 dx.
         assert max(report.dts) == pytest.approx(0.9 * grid.dx, rel=1e-12)
 
+    def test_dt_is_sized_for_the_post_source_stencil(self):
+        # g = 2u raises the state within the source stage, and Burgers
+        # transport then runs faster than the pre-source field allows; dt
+        # sized over that field alone fails the transport stage's CFL guard.
+        grid = build_grid(0.0, 1.0, 40)
+        growth = SourceDescriptor(lambda x, t, u: 2.0 * u, 2.0, 0.0,
+                                  lambda t: 0.0, linear=True)
+        report = run(CellField(grid, np.ones(40)), godunov(burgers_flux()),
+                     growth, BoundarySpec.dirichlet_outflow(1.0),
+                     TimeAxis(0.3, dt_max=0.05, cfl_number=1.0))
+        assert report.times[-1] == pytest.approx(0.3, abs=1e-12)
+        assert report.n_steps == 17
+        assert max(report.linf) > 1.8
+
+    def test_zero_flux_under_a_source_takes_the_step_cap(self):
+        # No transport speed at any state: the source's reach limits nothing.
+        grid = build_grid(0.0, 1.0, 10)
+        growth = SourceDescriptor(lambda x, t, u: 2.0 * u, 2.0, 0.0,
+                                  lambda t: 0.0, linear=True)
+        report = run(CellField(grid, np.ones(10)), godunov(zero_flux()),
+                     growth, BoundarySpec.dirichlet_outflow(1.0),
+                     TimeAxis(0.3, dt_max=0.05))
+        assert report.dts == pytest.approx([0.05] * 6, rel=1e-12)
+
     @pytest.mark.parametrize("make_desc", [
         lambda: NumericalFluxDescriptor("upwind-linear", burgers_flux()),
         lambda: NumericalFluxDescriptor("upwind-linear", linear_flux(-0.5)),
@@ -269,7 +287,6 @@ class TestRun:
         report = shock_run()
         assert report.tv[0] == pytest.approx(1.0)
         assert max(report.tv) <= report.tv[0] + 1e-12
-        assert report.range_exits == 0
 
     def test_monotone_profile_stays_monotone(self):
         states = []
