@@ -481,17 +481,19 @@ def mode_verify(setup: SimulationSetup) -> int:
     )
     for result in (check_linf_bound(report, cfg), check_tv_bound(report, cfg)):
         label = "extended" if result.extended else "plain"
-        add(f"{result.name}-bound", result.passed,
-            result.worst_margin, 0.0,
-            f"{label} envelope, worst margin at t={result.worst_time:.6g}")
+        if np.isfinite(result.bounds).all():
+            add(f"{result.name}-bound", result.passed, result.worst_margin, 0.0,
+                f"{label} envelope, worst margin at t={result.worst_time:.6g}")
+        else:  # exp(C0 t) overflowed, as at the sink's contraction limit
+            rows.append((f"{result.name}-bound", "INFO", _fmt(result.worst_margin),
+                         "0", f"vacuous: {label} envelope overflows at rate "
+                         f"C0={cfg.envelope_rate:.6g}"))
 
     path = setup.output_dir / "verify_report.csv"
     _write_csv(path, ("check", "status", "value", "threshold", "detail"), rows)
     failed = [row for row in rows if row[1] == "FAIL"]
-    for row in rows:
-        if row[1] == "INFO":
-            continue
-        print(f"{row[1]} {row[0]}: {row[4]} (value {row[2]}, threshold {row[3]})")
+    for check, status, value, threshold, detail in rows[len(setup.notes):]:
+        print(f"{status} {check}: {detail} (value {value}, threshold {threshold})")
     print(f"wrote {path}")
     if failed:
         print(f"{len(failed)} check(s) failed", file=sys.stderr)

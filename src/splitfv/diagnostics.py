@@ -339,9 +339,8 @@ class BoundCheckResult:
 def _finish_bound(name: str, extended: bool, reference: float,
                   times: np.ndarray, rate: float, base: float | np.ndarray,
                   observed: np.ndarray) -> BoundCheckResult:
-    # Envelope base * exp(rate (t - t0)): +inf where the growth factor
-    # overflows (a step near the source's contraction limit makes it
-    # vacuous), and exactly 0 where base is 0.
+    # Envelope base * exp(rate (t - t0)): +inf (vacuous) where the growth
+    # factor overflows, and exactly 0 where base is 0.
     with np.errstate(over="ignore", invalid="ignore"):
         bounds = np.exp(rate * (times - times[0])) * base
     bounds = np.where(np.asarray(base) == 0.0, 0.0, bounds)

@@ -399,27 +399,28 @@ def run(initial: CellField, fluxdesc: NumericalFluxDescriptor,
 
     dt is the CFL step of the current field and its ghosts at its time,
     capped by time_axis.dt_max, the source stage's contraction limit and
-    the hard CFL limit over the range the source stage can reach.
+    the hard CFL limit over the range the source stage reaches.
     """
 
     cfl_number = min(time_axis.cfl_number, 1.0 - _CFL_MARGIN)
     dt_cap = min(time_axis.dt_max, _source_dt_limit(src))
+    # Under a linear flux or a zero source the CFL limit cannot move.
+    source_moves_limit = not fluxdesc.physical.linear and (
+        src.lipschitz_u > 0.0 or src.sup_at_zero > 0.0)
     dx = initial.grid.dx
-    s0, lip = src.sup_at_zero, src.lipschitz_u
 
     def pick_dt(field: CellField, report: RunReport) -> float:
         ghosts = fill_ghosts(field, bc, fluxdesc.physical)
         dt = max_dt(fluxdesc, field, cfl_number, dt_cap, ghosts)
-        # The source stage moves a state by at most dt (s0 + lip |ubar|), with
-        # |ubar| <= (|u| + dt s0) / (1 - dt lip); a smaller dt only shrinks
-        # that reach, so capping dt over the reached range is admissible.
-        lo, hi = field.bounds
-        u_bar = (max(-lo, hi) + dt * s0) / (1.0 - dt * lip)
-        reach = dt * (s0 + lip * u_bar)
-        if reach == 0.0:
+        if not source_moves_limit:
             return dt
-        L = flux_lipschitz(fluxdesc, min(lo - reach, *ghosts),
-                           max(hi + reach, *ghosts))
+        # ubar = u + dt g(x, t, ubar) moves monotonically away from u as dt
+        # grows (it cannot cross a zero of g), so the range reached at this dt
+        # holds that of any shorter step. Decay stays in the field's range.
+        lo, hi = field.bounds
+        bar = source_stage(field, dt, src, field.grid.cell_centers).bounds
+        L = flux_lipschitz(fluxdesc, min(lo, bar[0], *ghosts),
+                           max(hi, bar[1], *ghosts))
         return min(dt, (1.0 - _CFL_MARGIN) * dx / L) if L > 0.0 else dt
 
     return march(

@@ -275,9 +275,7 @@ class TestMainModes:
 
     JUMP = "n_cells = 100\nt_final = 2\n"
     # At the sink's contraction limit dt sits just under 1 / source_rate,
-    # so the envelope rate c / (1 - c dt) is about 2e9: the envelopes are
-    # +inf (vacuous), with no overflow warning, and stay exactly 0 on the
-    # empty line, not nan.
+    # so the envelope rate c / (1 - c dt) is about 2e9.
     SINK_LIMIT = ("v0 = 0.125\nmax_load = 1.0\nn_cells = 10\nt_final = 1.0\n"
                   "cfl_number = 1.0\ndt_max = 1.0\n"
                   "source_kind = constant-rate\nsource_rate = 2.0\n")
@@ -288,10 +286,10 @@ class TestMainModes:
         JUMP + "influx_before = 0.5\ninflux_after = 2.0\njump_time = 0.5\n"
         "source_kind = constant-rate\nsource_rate = 0.03\n",
         JUMP + "influx_before = 0\ninflux_after = 0\n",
-        SINK_LIMIT + "influx_before = 0.01\ninflux_after = 0.01\n",
+        # Zero envelopes: exactly 0 at every time, not inf * 0 = nan.
         SINK_LIMIT + "influx_before = 0\ninflux_after = 0\n",
     ], ids=["rise-15%", "drop-17%", "rise-4x-under-sink", "empty-line",
-            "sink-limit", "sink-limit-empty-line"])
+            "sink-limit-empty-line"])
     def test_verify_passes_valid_runs(self, tmp_path, capsys, model):
         # The paper's scenario is an influx jump: the new state leaves the
         # old value range, which no check may count against the run. The
@@ -300,7 +298,26 @@ class TestMainModes:
         cfg = write_config(tmp_path,
                            f"mode = verify\n{model}output_dir = {out}\n")
         assert main([str(cfg)]) == 0, capsys.readouterr().err
-        assert "all checks passed" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "all checks passed" in stdout
+        assert "PASS linf-bound" in stdout and "PASS tv-bound" in stdout
+
+    def test_overflowing_envelopes_are_reported_vacuous(self, tmp_path,
+                                                        capsys):
+        # exp(2e9 t) overflows after t = 0: the bound rows check nothing,
+        # so they read INFO, neither PASS nor an overflow warning.
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, f"mode = verify\n{self.SINK_LIMIT}influx_before = 0.01\n"
+            f"influx_after = 0.01\noutput_dir = {out}\n")
+        assert main([str(cfg)]) == 0
+        stdout = capsys.readouterr().out
+        for name in ("linf", "tv"):
+            assert f"INFO {name}-bound: vacuous: extended envelope " \
+                   f"overflows at rate C0=2e+09 (value " in stdout
+            assert f"PASS {name}-bound" not in stdout
+        report = (out / "verify_report.csv").read_text()
+        assert report.count(",INFO,") == 2
 
     @pytest.mark.parametrize("text", [
         "preset = testcase1\ncfl_number = 1.0\nt_final = 2\nn_cells = 50\n",

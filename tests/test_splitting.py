@@ -240,6 +240,24 @@ class TestRun:
         assert report.n_steps == 17
         assert max(report.linf) > 1.8
 
+    @pytest.mark.parametrize("rate, dt_max, n_steps", [
+        (20.0, 0.1, 21),   # dt at the contraction limit, dt L = 1 - 1e-9
+        (18.0, 0.05, 20),  # dt L = 0.9
+    ])
+    def test_a_decaying_source_keeps_the_field_s_dt(self, rate, dt_max,
+                                                     n_steps):
+        # Decay moves each state toward 0, inside the field's own range, so
+        # Burgers transport runs no faster after it: every full step is the
+        # field's CFL step under the caps, as if the source had no reach.
+        grid = build_grid(0.0, 1.0, 40)
+        report = run(CellField(grid, np.full(40, 0.1)),
+                     godunov(burgers_flux()), proportional_decay(rate),
+                     BoundarySpec.dirichlet_outflow(0.0), TimeAxis(1.0, dt_max))
+        dt = min(dt_max, (1.0 - 1e-9) / rate)
+        assert report.n_steps == n_steps
+        assert report.dts[:-1] == pytest.approx([dt] * (n_steps - 1),
+                                                rel=1e-12)
+
     def test_zero_flux_under_a_source_takes_the_step_cap(self):
         # No transport speed at any state: the source's reach limits nothing.
         grid = build_grid(0.0, 1.0, 10)
