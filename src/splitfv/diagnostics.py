@@ -27,8 +27,9 @@ where the source term's sign jumps, the residual is taken as the larger of
 its two one-sided limits, so no tie convention enters.
 
 Stability: the split scheme keeps the sup norm and the total variation
-under exponential-in-time envelopes whose rate is
-C0 = L / (1 - L * dt_cap) for a source with Lipschitz constant L in u.
+under exponential-in-time envelopes of rate C0 = L / (1 - L * dt_cap),
+where L is the rate at which the source can grow |u|: its Lipschitz
+constant in u, or 0 for a source that only removes load (the line's sink).
 On a bounded domain both envelopes are checked in an extended sense that
 includes the boundary data (ghost values and their variation in time).
 """
@@ -288,11 +289,11 @@ class EntropyObserver:
 class BoundCheckConfig:
     """Inputs to the growth envelopes.
 
-    growth_const is the source's Lipschitz constant in u, dt_cap the
-    largest step the run was allowed to take (the envelope rate is
-    C0 = growth_const / (1 - growth_const * dt_cap)), and source_tv_l1 a
-    bound on the time integral of the source's spatial-variation bound,
-    which enters the total-variation envelope only.
+    growth_const is the rate at which the source can grow |u| (its
+    Lipschitz constant in u, 0 for a source that only removes load), dt_cap
+    the largest allowed step (C0 = growth_const / (1 - growth_const *
+    dt_cap)), and source_tv_l1 a bound on the time integral of the source's
+    spatial-variation bound, which enters the total-variation envelope only.
     """
 
     growth_const: float

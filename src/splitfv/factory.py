@@ -115,6 +115,10 @@ class YieldLoss:
 def as_source(profile: YieldLoss, u_max: float = 0.0) -> SourceDescriptor:
     """Sink descriptor g(x, t, u) = -c(x) * u for a yield-loss profile.
 
+    YieldLoss refuses negative rates, so g only removes load: the source
+    stage gives 0 <= ubar <= u in every cell of nonnegative data, the
+    premise of run_factory's step bound and of `verify`'s envelope rate 0.
+
     u_max feeds the declared spatial-variation bound (TV of g(., t, u) is
     at most TV(c) * u_max when |u| <= u_max); it does not affect stepping,
     only property verification against that bound.
@@ -309,6 +313,9 @@ def run_factory(model: FactoryModel, initial: CellField | float,
     'influx' and 'outflux', each aligned with report.times; the velocity
     and outflux entries are evaluated from the recorded state, the influx
     from the schedule at the recorded time.
+
+    The sink only removes load (see as_source): the post-source load is at
+    most the load w that pick_dt jam-checks, and at least w / (1 + dt c_max).
     """
     if isinstance(initial, CellField):
         field0 = initial
@@ -326,13 +333,6 @@ def run_factory(model: FactoryModel, initial: CellField | float,
             f"flux_kind must be one of {FACTORY_FLUX_KINDS}, got {flux_kind!r}"
         )
 
-    def jam_check(wip_value: float, speed: float, t: float, where: str) -> None:
-        if wip_value >= model.max_load or speed <= JAM_VELOCITY_FLOOR:
-            raise JammedLineError(
-                f"line jammed at t={t} ({where}): WIP={wip_value}, "
-                f"speed={speed}, capacity={model.max_load}"
-            )
-
     c_max = src.lipschitz_u
     dt_sink = _source_dt_limit(src)
 
@@ -340,21 +340,22 @@ def run_factory(model: FactoryModel, initial: CellField | float,
         # The recorded channels already hold this field's load and speed.
         w = report.channels["wip"][-1]
         v = report.channels["velocity"][-1]
-        jam_check(w, v, field.time, "dt selection")
+        if w >= model.max_load or v <= JAM_VELOCITY_FLOOR:
+            raise JammedLineError(
+                f"line jammed at t={field.time} (dt selection): WIP={w}, "
+                f"speed={v}, capacity={model.max_load}"
+            )
         dt = min(time_axis.cfl_number * dx / v, time_axis.dt_max, dt_sink)
-        # The sink lowers the load, so transport runs faster than v. For
-        # nonnegative data the post-source load is at least w / (1 + dt c_max)
-        # and a smaller dt only lowers that speed bound, so capping dt just
-        # under the hard CFL limit of the bound keeps the step admissible.
+        # Transport runs at most at v(w / (1 + dt c_max)), and a smaller dt
+        # only lowers that bound, so capping dt just under its hard CFL
+        # limit keeps the step admissible.
         v_bar = velocity(w / (1.0 + dt * c_max), model)
         return min(dt, (1.0 - _CFL_MARGIN) * dx / v_bar)
 
     def flux_for(bar: CellField) -> NumericalFluxDescriptor:
         # The influx ghost is rate / f(1), and linear_flux(v) has f(1) = v.
-        w_bar = wip(bar)
-        v = velocity(w_bar, model)
-        jam_check(w_bar, v, bar.time, "post-source load")
-        return transport_descriptor(v, flux_kind)
+        # The sink cannot raise the load above what pick_dt jam-checked.
+        return transport_descriptor(velocity(wip(bar), model), flux_kind)
 
     def channels(field: CellField) -> dict[str, float]:
         w = wip(field)

@@ -67,8 +67,8 @@ PINS = {
 # the range its CFL guard checks: about 9 calls a step into the exact
 # solution behind its Dirichlet ghosts.
 PYTHON_CALL_PINS = {
-    ("simulate", "upwind-linear"): 4005,
-    ("verify", "godunov"): 5351,
+    ("simulate", "upwind-linear"): 3845,
+    ("verify", "godunov"): 5191,
     ("converge", "burgers_shock"): 3758,
 }
 PACKAGE_DIR = os.path.dirname(os.path.abspath(splitfv.__file__)) + os.sep

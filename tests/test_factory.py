@@ -467,10 +467,18 @@ def slow_transport(monkeypatch):
                         lambda speed, kind: make(0.9 * speed, kind))
 
 
+def flip_sink_sign(monkeypatch):
+    rate_at = YieldLoss.rate_at
+    monkeypatch.setattr(YieldLoss, "rate_at",
+                        lambda self, x: -rate_at(self, x))
+
+
 class TestStepInvariants:
-    """Two invariants every line step meets to rounding: the boundary flux
-    is the influx rate, and the transport speed is v(WIP(ubar)). An influx
-    ghost x1.05 breaks the first, a transport speed x0.9 the second."""
+    """Four invariants every line step meets, exactly or to rounding: the
+    boundary flux is the influx rate, the transport speed is v(WIP(ubar)),
+    the sink only removes load, and transport obeys the discrete maximum
+    principle. An influx ghost x1.05 breaks the first, a transport speed
+    x0.9 the second, a flipped sink sign the third."""
 
     @staticmethod
     def broken(model, records) -> set[str]:
@@ -495,13 +503,33 @@ class TestStepInvariants:
             if abs(rec.fluxdesc.physical.speed - speed) > \
                     (ubar.size + 8) * eps * model.v0:
                 broken.add("line-speed")
+            # Exact: every fixed-point iterate adds a non-positive term to
+            # u, and the closed form divides it by 1 + dt c >= 1.
+            u = rec.field_before.values
+            if np.any(ubar < 0.0) or np.any(ubar > u):
+                broken.add("sink-removes")
+            # At Courant number <= 1, u+_j = ubar_j - (dt/dx)(F_j - F_{j-1})
+            # with F = v ubar is a convex combination of ubar_{j-1} and
+            # ubar_j (ubar_0 the left ghost). Its six roundings (the two
+            # flux products, their difference, dt/dx, the product with it
+            # and the final difference) each err by at most eps/2 of
+            # m = max ubar, ghost included, so 3 eps m bounds the gap; the
+            # tolerance 4 eps m leaves room for second-order terms.
+            ext = np.concatenate(([rec.ghost_left], ubar))
+            lo = np.minimum(ext[:-1], ext[1:])
+            hi = np.maximum(ext[:-1], ext[1:])
+            tol = 4.0 * eps * ext.max()
+            after = rec.field_after.values
+            if np.any(after < lo - tol) or np.any(after > hi + tol):
+                broken.add("max-principle")
         return broken
 
     @pytest.mark.parametrize("defect,caught_by", [
         (None, set()),
         (inflate_influx_ghost, {"boundary-flux"}),
         (slow_transport, {"line-speed"}),
-    ], ids=["clean", "influx-ghost-x1.05", "speed-x0.9"])
+        (flip_sink_sign, {"sink-removes"}),
+    ], ids=["clean", "influx-ghost-x1.05", "speed-x0.9", "sink-sign-flipped"])
     @pytest.mark.parametrize("flux_kind", ["upwind-linear", "godunov"])
     def test_each_defect_breaks_its_invariant(self, monkeypatch, flux_kind,
                                               defect, caught_by):
