@@ -100,7 +100,7 @@ def _residual_rows(rec: StepRecord, states: np.ndarray,
     sign(ubar_j - k) jumps, it takes the sign that makes it dt |g|: the
     larger of its two one-sided limits.
     """
-    bar = rec.field_bar.values
+    bar = rec.u_bar
     r = np.zeros(k.shape)
     if states.shape[1]:  # eval_flux takes the range of a non-empty batch
         fluxdesc = rec.fluxdesc
@@ -119,16 +119,16 @@ def _residual_rows(rec: StepRecord, states: np.ndarray,
             f = eval_flux(fluxdesc, x[:, :2], x[:, 1:])
         g = f[0] - f[1]  # left interface, right interface
         r[:, cells] = (np.abs(states[1] - kc) - np.abs(states[0] - kc)
-                       + rec.dt / rec.field_before.grid.dx * (g[1] - g[0]))
+                       + rec.dt / rec.grid.dx * (g[1] - g[0]))
     s = np.where(bar == k, -np.sign(source_values), np.sign(bar - k))
     r -= s * rec.dt * source_values
     return r
 
 
 def _source_values(rec: StepRecord) -> np.ndarray:
-    x = rec.field_before.grid.cell_centers
+    x = rec.grid.cell_centers
     return np.asarray(
-        rec.src.eval(x, rec.t_before, rec.field_bar.values), dtype=float
+        rec.src.eval(x, rec.t_before, rec.u_bar), dtype=float
     )
 
 
@@ -181,12 +181,12 @@ def entropy_residual_max(rec: StepRecord) -> EntropyCheckResult:
     """
     fluxdesc = rec.fluxdesc
     gsrc = _source_values(rec)
-    bar = rec.field_bar.values
+    bar = rec.u_bar
     n = bar.size
     ext = np.concatenate([[rec.ghost_left], bar, [rec.ghost_right]])
     local = np.array([
-        rec.field_before.values,
-        rec.field_after.values,
+        rec.u_before,
+        rec.u_after,
         ext[:-2],
         bar,
         ext[2:],
@@ -429,7 +429,7 @@ def time_bv_report(states: Sequence[np.ndarray]) -> TimeBVReport:
     """Per-cell temporal variation sums over a run's states, in time order.
 
     states holds the initial values and every step's result; an observer
-    collects them by appending rec.field_after.values to a list that starts
+    collects them by appending rec.u_after to a list that starts
     with the initial values. Reported for inspection only: the scheme does
     not certify a specific constant for this quantity.
     """

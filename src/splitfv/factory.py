@@ -199,7 +199,12 @@ def wip(field: CellField) -> float:
         raise ValueError(
             f"factory fields live on [0, 1], got [{grid.x_min}, {grid.x_max}]"
         )
-    return float(grid.dx * field.values.sum())
+    return _load(field.values, grid.dx)
+
+
+def _load(values: np.ndarray, dx: float) -> float:
+    """dx times the sum of the cell values: the load wip() reports."""
+    return float(dx * values.sum())
 
 
 def velocity(wip_value: float, model: FactoryModel) -> float:
@@ -336,13 +341,14 @@ def run_factory(model: FactoryModel, initial: CellField | float,
     c_max = src.lipschitz_u
     dt_sink = _source_dt_limit(src)
 
-    def pick_dt(field: CellField, report: RunReport) -> float:
-        # The recorded channels already hold this field's load and speed.
+    def pick_dt(u: np.ndarray, t: float, edge: tuple,
+                report: RunReport) -> float:
+        # The recorded channels already hold this state's load and speed.
         w = report.channels["wip"][-1]
         v = report.channels["velocity"][-1]
         if w >= model.max_load or v <= JAM_VELOCITY_FLOOR:
             raise JammedLineError(
-                f"line jammed at t={field.time} (dt selection): WIP={w}, "
+                f"line jammed at t={t} (dt selection): WIP={w}, "
                 f"speed={v}, capacity={model.max_load}"
             )
         dt = min(time_axis.cfl_number * dx / v, time_axis.dt_max, dt_sink)
@@ -352,19 +358,20 @@ def run_factory(model: FactoryModel, initial: CellField | float,
         v_bar = velocity(w / (1.0 + dt * c_max), model)
         return min(dt, (1.0 - _CFL_MARGIN) * dx / v_bar)
 
-    def flux_for(bar: CellField) -> NumericalFluxDescriptor:
+    def flux_for(bar: np.ndarray) -> NumericalFluxDescriptor:
         # The influx ghost is rate / f(1), and linear_flux(v) has f(1) = v.
         # The sink cannot raise the load above what pick_dt jam-checked.
-        return transport_descriptor(velocity(wip(bar), model), flux_kind)
+        return transport_descriptor(velocity(_load(bar, dx), model), flux_kind)
 
-    def channels(field: CellField) -> dict[str, float]:
-        w = wip(field)
+    def channels(u: np.ndarray, t: float) -> dict[str, float]:
+        w = _load(u, dx)
         v = velocity(w, model)
         return {
             "wip": w,
             "velocity": v,
-            "influx": float(model.influx(field.time)),
-            "outflux": outflux(field, v),
+            "influx": float(model.influx(t)),
+            # outflux() of a field with these values.
+            "outflux": v * float(u[-1]),
         }
 
     return march(

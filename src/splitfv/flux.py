@@ -41,12 +41,11 @@ that the monotonicity checker has something to fail on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .mesh import CellField
 
 FLUX_KINDS = ("upwind-linear", "lax-friedrichs", "godunov", "engquist-osher")
 # Points per axis of check_monotone's sample lattice.
@@ -88,8 +87,9 @@ class PhysicalFlux:
         object.__setattr__(self, "speed", speed)
 
     def eval(self, u):
-        out = self.func(np.asarray(u, dtype=float))
-        if np.isscalar(u) or np.ndim(u) == 0:
+        u = np.asarray(u, dtype=float)
+        out = self.func(u)
+        if u.ndim == 0:
             return float(out)
         return np.asarray(out, dtype=float)
 
@@ -174,7 +174,7 @@ class NumericalFluxDescriptor:
     def __post_init__(self):
         if self.kind not in FLUX_KINDS:
             raise ValueError(f"unknown flux kind {self.kind!r}, expected one of {FLUX_KINDS}")
-        if not np.isfinite(self.viscosity) or self.viscosity < 0:
+        if not math.isfinite(self.viscosity) or self.viscosity < 0:
             raise ValueError(f"viscosity must be >= 0, got {self.viscosity}")
         if self.kind == "upwind-linear":
             speed = self.physical.speed
@@ -293,9 +293,11 @@ def eval_flux(desc: NumericalFluxDescriptor, a, b):
     Where F(a, b) is f(a) (_is_upwind) it returns f(a), with no extremum
     pass: Godunov's values up to the sign of an exact zero.
     """
-    scalar = (np.isscalar(a) or np.ndim(a) == 0) and (np.isscalar(b) or np.ndim(b) == 0)
-    aa = np.atleast_1d(np.asarray(a, dtype=float))
-    bb = np.atleast_1d(np.asarray(b, dtype=float))
+    aa = np.asarray(a, dtype=float)
+    bb = np.asarray(b, dtype=float)
+    scalar = aa.ndim == 0 and bb.ndim == 0
+    if scalar:
+        aa, bb = aa.reshape(1), bb.reshape(1)
     if aa.shape != bb.shape:
         aa, bb = np.broadcast_arrays(aa, bb)
     if not (np.isfinite(aa).all() and np.isfinite(bb).all()):
@@ -376,22 +378,24 @@ def flux_lipschitz(desc: NumericalFluxDescriptor, lo: float, hi: float) -> float
 
 def max_dt(
     desc: NumericalFluxDescriptor,
-    field: CellField,
+    values: np.ndarray,
+    dx: float,
     cfl_number: float,
     dt_cap: float = np.inf,
     ghosts: tuple[float, ...] = (),
 ) -> float:
-    """Largest stable step for the explicit transport update on this field.
+    """Largest stable step for the explicit transport update of the cell
+    values `values` on cells of width dx.
 
-    Returns cfl_number * dx / L where L = flux_lipschitz over the current
-    field range widened to the `ghosts` values, which should be the ghost
+    Returns cfl_number * dx / L where L = flux_lipschitz over the range of
+    the values widened to the `ghosts` values, which should be the ghost
     cells the step will use; degenerate fluxes (L = 0) return the caller's
     dt_cap.
     """
     if not (0.0 < cfl_number <= 1.0):
         raise ValueError(f"cfl_number must be in (0, 1], got {cfl_number}")
-    lo, hi = field.bounds
+    lo, hi = float(values.min()), float(values.max())
     L = flux_lipschitz(desc, min((lo, *ghosts)), max((hi, *ghosts)))
     if L <= 0.0:
         return dt_cap
-    return min(cfl_number * field.grid.dx / L, dt_cap)
+    return min(cfl_number * dx / L, dt_cap)

@@ -59,15 +59,14 @@ class CellField:
 
     The value array is copied on construction and marked read-only, so a
     field can be shared between step records and observers without risk
-    of aliasing bugs. The split step wraps the arrays it computes with
-    `adopt` instead, which skips the copy and the checks.
+    of aliasing bugs. A step record wraps the read-only arrays the split
+    step computes with `adopt` instead, which skips the copy and the
+    checks, when an observer first reads them as fields.
 
     `bounds` (min, max) and `jumps` (|u_{j+1} - u_j|, length n_cells - 1)
     are computed on first access and kept in the instance dict, where
     later reads find them without a call. That is sound because the values
-    are read-only, so they cannot go stale. The CFL guard, the step
-    record, the run report and `max_dt` all read them, so each field's
-    range and jumps are taken once however many of those look at it.
+    are read-only, so they cannot go stale.
     """
 
     grid: Grid1D

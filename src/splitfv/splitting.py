@@ -9,7 +9,13 @@ One time step of size dt from t to t + dt does, in order:
 
 with F a monotone two-point numerical flux. The transport stage refuses to
 run when dt exceeds the hard CFL limit dx / L for the Lipschitz constant L
-of the flux over the stencil range (ghosts included).
+of the flux over the stencil range (ghosts included; a flux declared linear
+has one L whatever the range, so its field is not scanned).
+
+The stages take and return float arrays; `march` carries the state as an
+array and its time. A step's StepRecord holds the arrays before, between and
+after the stages, and wraps each in a CellField only the first time an
+observer reads it, so a run with no such reader builds no field per step.
 
 The source stage is a contraction only while dt * lipschitz_u < 1 for the
 source's Lipschitz constant in u. Both `run` and the line model's
@@ -20,7 +26,8 @@ Boundaries: the left boundary is either a Dirichlet trace or an influx
 rate; an influx ghost is the rate divided by the speed f(1) of the step's
 physical flux (PhysicalFlux.speed), which must be declared linear
 (f(u) = f(1) u). The right boundary is outflow (zero-gradient copy) or
-Dirichlet.
+Dirichlet. The schedules depend on time alone, so `march` reads them once a
+step (BoundarySpec.values_at) for the step's dt proposal and its transport.
 """
 
 from __future__ import annotations
@@ -115,34 +122,41 @@ class BoundarySpec:
     def influx_outflow(cls, influx) -> BoundarySpec:
         return cls("influx", "outflow", _as_schedule(influx))
 
+    def values_at(self, t: float) -> tuple[float, float | None]:
+        """The schedules read at time t: the left Dirichlet value or influx
+        rate, then the right Dirichlet value, or None for an outflow
+        boundary, whose ghost is copied from the field."""
+        left = float(self.left_schedule(t))
+        if self.right_kind == "outflow":
+            return left, None
+        return left, float(self.right_schedule(t))
 
-def fill_ghosts(field_bar: CellField, bc: BoundarySpec,
+
+def fill_ghosts(values: np.ndarray, bc: BoundarySpec,
+                edge: tuple[float, float | None],
                 flux: PhysicalFlux | None = None) -> tuple[float, float]:
-    """Ghost cell values flanking the post-source field at its time.
+    """Ghost cell values flanking the post-source cell values.
 
-    An influx ghost is the rate divided by the speed f(1) of `flux`, read
-    from `flux.speed`; a flux not declared linear has none and is refused
-    (ValueError).
+    edge holds bc's schedules read at the step's time (bc.values_at). An
+    influx ghost is the rate divided by the speed f(1) of `flux`, read from
+    `flux.speed`; a flux not declared linear has none and is refused
+    (ValueError). An outflow ghost copies the last cell of `values`.
     """
-    t = field_bar.time
-    if bc.left_kind == "dirichlet":
-        ghost_left = float(bc.left_schedule(t))
-    else:
+    ghost_left, ghost_right = edge
+    if bc.left_kind == "influx":
         speed = None if flux is None else flux.speed
         if speed is None:
             raise ValueError("an influx boundary needs a flux declared linear")
         if speed <= JAM_VELOCITY_FLOOR:
             raise JammedLineError(
-                f"transport velocity {speed} at t={t} is at or below "
-                f"the jam floor {JAM_VELOCITY_FLOOR}"
+                f"transport velocity {speed} is at or below the jam floor "
+                f"{JAM_VELOCITY_FLOOR}"
             )
-        ghost_left = float(bc.left_schedule(t)) / speed
-    if bc.right_kind == "outflow":
-        ghost_right = float(field_bar.values[-1])
-    else:
-        ghost_right = float(bc.right_schedule(t))
+        ghost_left = ghost_left / speed
+    if ghost_right is None:
+        ghost_right = float(values[-1])
     if not (math.isfinite(ghost_left) and math.isfinite(ghost_right)):
-        raise ValueError(f"non-finite ghost value at t={t}")
+        raise ValueError(f"non-finite ghost value ({ghost_left}, {ghost_right})")
     return ghost_left, ghost_right
 
 
@@ -150,124 +164,172 @@ def fill_ghosts(field_bar: CellField, bc: BoundarySpec,
 # Stages and the combined step
 # =============================================================
 
+def _unbuilt() -> list:
+    return [None]
+
+
 @dataclass(frozen=True)
 class StepRecord:
-    """Everything one accepted step produced, for observers and diagnostics."""
+    """Everything one accepted step produced, for observers and diagnostics.
 
+    The step's states are read-only arrays on `grid`: u_before at t_before,
+    u_bar after the source stage (still at t_before) and u_after at
+    t_after = t_before + dt. field_before, field_bar and field_after wrap
+    them in CellFields the first time they are read and return that same
+    object on every later read. In a run, a step's field_after is the next
+    step's field_before.
+    """
+
+    grid: Grid1D
     t_before: float
     dt: float
-    field_before: CellField
-    field_bar: CellField
-    field_after: CellField
+    u_before: np.ndarray
+    u_bar: np.ndarray
+    u_after: np.ndarray
     ghost_left: float
     ghost_right: float
     flux_left: float
     flux_right: float
     fluxdesc: NumericalFluxDescriptor
     src: SourceDescriptor
+    # One-entry cells that hold each state's CellField once it is built.
+    # march hands a record's after-cell to the next record as its
+    # before-cell, so the two share one field.
+    _before: list = dataclass_field(default_factory=_unbuilt, init=False,
+                                    repr=False, compare=False)
+    _bar: list = dataclass_field(default_factory=_unbuilt, init=False,
+                                 repr=False, compare=False)
+    _after: list = dataclass_field(default_factory=_unbuilt, init=False,
+                                   repr=False, compare=False)
+
+    @property
+    def t_after(self) -> float:
+        return self.t_before + self.dt
+
+    def _field(self, cell: list, values: np.ndarray, time: float) -> CellField:
+        if cell[0] is None:
+            cell[0] = CellField.adopt(self.grid, values, time)
+        return cell[0]
+
+    @property
+    def field_before(self) -> CellField:
+        return self._field(self._before, self.u_before, self.t_before)
+
+    @property
+    def field_bar(self) -> CellField:
+        return self._field(self._bar, self.u_bar, self.t_before)
+
+    @property
+    def field_after(self) -> CellField:
+        return self._field(self._after, self.u_after, self.t_after)
 
 
-# Per-step transport flux: maps the post-source field to the numerical flux
-# of the step.
-FluxBuilder = Callable[[CellField], NumericalFluxDescriptor]
+# Per-step transport flux: maps the post-source values to the numerical
+# flux of the step.
+FluxBuilder = Callable[[np.ndarray], NumericalFluxDescriptor]
 
 
-def source_stage(field: CellField, dt: float, src: SourceDescriptor,
-                 x: np.ndarray) -> CellField:
-    """Backward-Euler source update of every cell; keeps the field's time.
-
-    x holds the cell centres of field.grid.
-    """
-    bar = implicit_source_step(field.values, x, field.time, dt, src)
+def source_stage(u: np.ndarray, t: float, dt: float, src: SourceDescriptor,
+                 x: np.ndarray) -> np.ndarray:
+    """Backward-Euler source update of every cell at time t, as a new
+    read-only array; x holds the cell centres."""
+    bar = implicit_source_step(u, x, t, dt, src)
     # implicit_source_step returns a new array and raises on non-finite values.
-    return CellField.adopt(field.grid, bar, field.time)
+    bar.setflags(write=False)
+    return bar
 
 
-def transport_stage(field_bar: CellField, dt: float,
-                    fluxdesc: NumericalFluxDescriptor, bc: BoundarySpec):
-    """Explicit conservative update of the post-source field.
+def transport_stage(u_bar: np.ndarray, dt: float, dx: float,
+                    fluxdesc: NumericalFluxDescriptor, ghost_left: float,
+                    ghost_right: float) -> tuple[np.ndarray, float, float]:
+    """Explicit conservative update of the post-source values between the
+    two ghosts, on cells of width dx.
 
-    Returns (field_after, ghost_left, ghost_right, flux_left, flux_right).
+    Returns (u_after, flux_left, flux_right) with u_after a new read-only
+    array. Refuses (CFLViolationError) a dt above the hard CFL limit over
+    the stencil range. A flux declared linear has one Lipschitz constant
+    over every range, so its cells are not scanned for theirs.
     """
-    t = field_bar.time
-    dx = field_bar.grid.dx
-    values = field_bar.values
-    ghost_left, ghost_right = fill_ghosts(field_bar, bc, fluxdesc.physical)
-    ext = np.concatenate(([ghost_left], values, [ghost_right]))
-    lo, hi = field_bar.bounds
-    L = flux_lipschitz(fluxdesc, min(lo, ghost_left, ghost_right),
-                       max(hi, ghost_left, ghost_right))
+    if fluxdesc.physical.linear:
+        lo, hi = min(ghost_left, ghost_right), max(ghost_left, ghost_right)
+    else:
+        lo = min(float(u_bar.min()), ghost_left, ghost_right)
+        hi = max(float(u_bar.max()), ghost_left, ghost_right)
+    L = flux_lipschitz(fluxdesc, lo, hi)
     if dt * L / dx > 1.0 + _CFL_MARGIN:
         raise CFLViolationError(
             f"dt={dt} exceeds the hard CFL limit {dx / L if L > 0 else np.inf} "
             f"(flux Lipschitz constant {L} over the stencil range)"
         )
+    ext = np.empty(u_bar.size + 2)
+    ext[0], ext[1:-1], ext[-1] = ghost_left, u_bar, ghost_right
     F = eval_flux(fluxdesc, ext[:-1], ext[1:])
-    new_values = values - (dt / dx) * (F[1:] - F[:-1])
-    if not np.isfinite(new_values).all():
-        raise ArithmeticError(f"transport stage produced non-finite values at t={t}")
-    after = CellField.adopt(field_bar.grid, new_values, t + dt)
-    return after, ghost_left, ghost_right, float(F[0]), float(F[-1])
+    u_after = u_bar - (dt / dx) * (F[1:] - F[:-1])
+    if not np.isfinite(u_after).all():
+        raise ArithmeticError("transport stage produced non-finite values")
+    u_after.setflags(write=False)
+    return u_after, float(F[0]), float(F[-1])
 
 
-def make_step_record(field_before: CellField, field_bar: CellField,
-                     field_after: CellField, ghost_left: float,
+def make_step_record(grid: Grid1D, t_before: float, dt: float,
+                     u_before: np.ndarray, u_bar: np.ndarray,
+                     u_after: np.ndarray, ghost_left: float,
                      ghost_right: float, flux_left: float, flux_right: float,
-                     dt: float, fluxdesc: NumericalFluxDescriptor,
-                     src: SourceDescriptor) -> StepRecord:
-    """Assemble the StepRecord of one accepted step; it checks nothing."""
-    return StepRecord(
-        t_before=field_before.time,
-        dt=dt,
-        field_before=field_before,
-        field_bar=field_bar,
-        field_after=field_after,
-        ghost_left=ghost_left,
-        ghost_right=ghost_right,
-        flux_left=flux_left,
-        flux_right=flux_right,
-        fluxdesc=fluxdesc,
-        src=src,
-    )
+                     fluxdesc: NumericalFluxDescriptor, src: SourceDescriptor,
+                     before_cell: list | None = None) -> StepRecord:
+    """Assemble the StepRecord of one accepted step; it checks nothing.
+
+    before_cell, when given, is the one-entry list that holds (or will
+    hold) the CellField of u_before: the previous record's after-cell, or
+    a list holding the run's initial field. The record shares it, so both
+    records build and return one field.
+    """
+    rec = StepRecord(grid, t_before, dt, u_before, u_bar, u_after,
+                     ghost_left, ghost_right, flux_left, flux_right,
+                     fluxdesc, src)
+    if before_cell is not None:
+        object.__setattr__(rec, "_before", before_cell)
+    return rec
 
 
-def split_step(field: CellField, dt: float, src: SourceDescriptor,
-               bc: BoundarySpec, flux_for: FluxBuilder,
-               x: np.ndarray) -> StepRecord:
-    """One full split step: the source stage, then transport.
+def split_step(grid: Grid1D, u: np.ndarray, t: float, dt: float,
+               src: SourceDescriptor, bc: BoundarySpec, flux_for: FluxBuilder,
+               edge: tuple[float, float | None], x: np.ndarray,
+               before_cell: list | None = None) -> StepRecord:
+    """One full split step of the values u at time t: the source stage,
+    then transport.
 
-    flux_for builds the step's flux from the post-source field; x holds the
-    cell centres of field.grid. Refuses to run outside its stability
-    conditions.
+    flux_for builds the step's flux from the post-source values; edge holds
+    bc's schedules read at t (bc.values_at) and x the cell centres of grid.
+    before_cell is passed on to make_step_record. Refuses to run outside
+    its stability conditions.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
-    bar = source_stage(field, dt, src, x)
+    bar = source_stage(u, t, dt, src, x)
     fluxdesc = flux_for(bar)
-    after, ghost_left, ghost_right, flux_left, flux_right = transport_stage(
-        bar, dt, fluxdesc, bc
+    ghost_left, ghost_right = fill_ghosts(bar, bc, edge, fluxdesc.physical)
+    after, flux_left, flux_right = transport_stage(
+        bar, dt, grid.dx, fluxdesc, ghost_left, ghost_right
     )
     return make_step_record(
-        field, bar, after, ghost_left, ghost_right, flux_left, flux_right,
-        dt, fluxdesc, src,
+        grid, t, dt, u, bar, after, ghost_left, ghost_right, flux_left,
+        flux_right, fluxdesc, src, before_cell,
     )
 
 
 def step(field: CellField, dt: float, fluxdesc: NumericalFluxDescriptor,
          src: SourceDescriptor, bc: BoundarySpec) -> StepRecord:
-    """One full split step with a fixed flux."""
-    return split_step(field, dt, src, bc, lambda bar: fluxdesc,
-                      field.grid.cell_centers)
+    """One full split step of a field with a fixed flux; the record's
+    field_before is `field`."""
+    return split_step(field.grid, field.values, field.time, dt, src, bc,
+                      lambda bar: fluxdesc, bc.values_at(field.time),
+                      field.grid.cell_centers, [field])
 
 
 # =============================================================
 # Run driver and report
 # =============================================================
-
-def _interior_tv(field: CellField) -> float:
-    """Total variation without the two boundary-adjacent jumps."""
-    return float(field.jumps[1:-1].sum())
-
 
 @dataclass
 class RunReport:
@@ -279,7 +341,7 @@ class RunReport:
     the named values of the channels hook given to `march`, each series
     aligned with `times`. Whole states are kept only at the checkpoint
     times and for the final field; an observer that appends each step's
-    rec.field_after.values collects every state. It holds no verdicts.
+    rec.u_after collects every state. It holds no verdicts.
     """
 
     initial: CellField
@@ -292,31 +354,46 @@ class RunReport:
     ghost_right: list = dataclass_field(default_factory=list)
     channels: dict = dataclass_field(default_factory=dict)
     checkpoints: dict = dataclass_field(default_factory=dict)
-    final_field: CellField | None = None
+    _last: StepRecord | None = dataclass_field(default=None, init=False,
+                                               repr=False)
 
     @classmethod
     def start(cls, initial: CellField) -> RunReport:
         report = cls(initial=initial)
-        report._append_state(initial)
-        report.final_field = initial
+        report.times.append(initial.time)
+        report.linf.append(linf_norm(initial))
+        report.tv.append(total_variation(initial))
+        report.tv_interior.append(float(initial.jumps[1:-1].sum()))
         return report
-
-    def _append_state(self, field: CellField) -> None:
-        self.times.append(field.time)
-        self.linf.append(linf_norm(field))
-        self.tv.append(total_variation(field))
-        self.tv_interior.append(_interior_tv(field))
 
     def _append_channels(self, values: dict[str, float]) -> None:
         for name, value in values.items():
             self.channels.setdefault(name, []).append(value)
 
     def record_step(self, rec: StepRecord) -> None:
-        self._append_state(rec.field_after)
+        """Append the step's state norms, dt and ghosts, from its arrays.
+
+        The floats are those linf_norm, total_variation and the interior
+        variation (the jumps but the two at the boundaries) give on
+        rec.field_after, which is not built.
+        """
+        u = rec.u_after
+        jumps = np.abs(u[1:] - u[:-1])
+        self.times.append(rec.t_after)
+        # max |u_j| is max(|min|, |max|): abs is exact.
+        self.linf.append(float(np.abs(u).max()))
+        self.tv.append(float(jumps.sum()))
+        self.tv_interior.append(float(jumps[1:-1].sum()))
         self.dts.append(rec.dt)
         self.ghost_left.append(rec.ghost_left)
         self.ghost_right.append(rec.ghost_right)
-        self.final_field = rec.field_after
+        self._last = rec
+
+    @property
+    def final_field(self) -> CellField:
+        """The last recorded state: the initial field, or the last step's
+        field_after."""
+        return self.initial if self._last is None else self._last.field_after
 
     @property
     def grid(self) -> Grid1D:
@@ -328,22 +405,25 @@ class RunReport:
 
 
 def march(initial: CellField, t_final: float,
-          pick_dt: Callable[[CellField, RunReport], float],
+          pick_dt: Callable[[np.ndarray, float, tuple, RunReport], float],
           src: SourceDescriptor, bc: BoundarySpec, flux_for: FluxBuilder,
           observers: Iterable[Callable[[StepRecord], None]] = (),
           checkpoint_times: Sequence[float] = (),
-          channels: Callable[[CellField], dict[str, float]] | None = None) -> RunReport:
+          channels: Callable[[np.ndarray, float], dict[str, float]] | None = None,
+          ) -> RunReport:
     """Generic adaptive time loop shared by the plain and model-bound drivers.
 
-    pick_dt proposes a stable step for the current field, given the report
-    recorded so far; split_step performs it with the flux flux_for builds.
-    Steps are clipped so the run lands exactly on each checkpoint time
-    and on t_final; the values at those times go to report.checkpoints.
-    channels, when given, maps the initial field and every step's result to
-    named values, appended to report.channels before the observers run.
-    Observers see every step's StepRecord, in order; they are the one
-    route to per-step output beyond the report's series. A non-finite
-    t_final is refused (ValueError).
+    The state is a read-only values array and its time. Each step reads
+    bc's schedules once at that time (bc.values_at); pick_dt(u, t, edge,
+    report) proposes a stable step for the state, given those values and
+    the report recorded so far; split_step performs it with the flux
+    flux_for builds. Steps are clipped so the run lands exactly on each
+    checkpoint time and on t_final; the values at those times go to
+    report.checkpoints. channels, when given, maps the initial state and
+    every step's result (values, time) to named values, appended to
+    report.channels before the observers run. Observers see every step's
+    StepRecord, in order; they are the one route to per-step output beyond
+    the report's series. A non-finite t_final is refused (ValueError).
     """
     if not math.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")
@@ -352,20 +432,24 @@ def march(initial: CellField, t_final: float,
     observers = tuple(observers)
     report = RunReport.start(initial)
     if channels is not None:
-        report._append_channels(channels(initial))
+        report._append_channels(channels(initial.values, initial.time))
+    grid = initial.grid
     # The grid's cached, read-only cell centres, shared by every step's
     # source stage.
-    x = initial.grid.cell_centers
+    x = grid.cell_centers
     tiny = 1e-12 * max(1.0, abs(t_final))
     targets = sorted({float(c) for c in checkpoint_times})
     for target in targets:
         if abs(target - initial.time) <= tiny:
             report.checkpoints[target] = initial.values
 
-    field = initial
+    # The state's time advances by each step's dt; t is the marching time,
+    # set to the exact time each step lands on.
+    u, time, cell = initial.values, initial.time, [initial]
     t = initial.time
     while t < t_final - tiny:
-        dt = pick_dt(field, report)
+        edge = bc.values_at(time)
+        dt = pick_dt(u, time, edge, report)
         if not (math.isfinite(dt) and dt > 0.0):
             raise RuntimeError(f"dt proposal {dt} at t={t} is not usable")
         t_next = min(t + dt, t_final)
@@ -377,17 +461,18 @@ def march(initial: CellField, t_final: float,
             t_next = t_final
         if t_next - t < 1e-14 * max(1.0, abs(t_final)):
             raise RuntimeError(f"step size collapsed at t={t}")
-        rec = split_step(field, t_next - t, src, bc, flux_for, x)
+        rec = split_step(grid, u, time, t_next - t, src, bc, flux_for, edge,
+                         x, cell)
         report.record_step(rec)
+        u, time, cell = rec.u_after, rec.t_after, rec._after
         if channels is not None:
-            report._append_channels(channels(rec.field_after))
+            report._append_channels(channels(u, time))
         for observer in observers:
             observer(rec)
-        field = rec.field_after
         t = t_next
         for target in targets:
             if abs(target - t) <= tiny:
-                report.checkpoints[target] = field.values
+                report.checkpoints[target] = u
     return report
 
 
@@ -408,19 +493,20 @@ def run(initial: CellField, fluxdesc: NumericalFluxDescriptor,
     source_moves_limit = not fluxdesc.physical.linear and (
         src.lipschitz_u > 0.0 or src.sup_at_zero > 0.0)
     dx = initial.grid.dx
+    x = initial.grid.cell_centers
 
-    def pick_dt(field: CellField, report: RunReport) -> float:
-        ghosts = fill_ghosts(field, bc, fluxdesc.physical)
-        dt = max_dt(fluxdesc, field, cfl_number, dt_cap, ghosts)
+    def pick_dt(u: np.ndarray, t: float, edge: tuple, report: RunReport) -> float:
+        ghosts = fill_ghosts(u, bc, edge, fluxdesc.physical)
+        dt = max_dt(fluxdesc, u, dx, cfl_number, dt_cap, ghosts)
         if not source_moves_limit:
             return dt
         # ubar = u + dt g(x, t, ubar) moves monotonically away from u as dt
         # grows (it cannot cross a zero of g), so the range reached at this dt
         # holds that of any shorter step. Decay stays in the field's range.
-        lo, hi = field.bounds
-        bar = source_stage(field, dt, src, field.grid.cell_centers).bounds
-        L = flux_lipschitz(fluxdesc, min(lo, bar[0], *ghosts),
-                           max(hi, bar[1], *ghosts))
+        bar = source_stage(u, t, dt, src, x)
+        L = flux_lipschitz(fluxdesc,
+                           min(float(u.min()), float(bar.min()), *ghosts),
+                           max(float(u.max()), float(bar.max()), *ghosts))
         return min(dt, (1.0 - _CFL_MARGIN) * dx / L) if L > 0.0 else dt
 
     return march(

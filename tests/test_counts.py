@@ -33,43 +33,50 @@ CHECK_FLUX = "eval_flux in entropy_residual_max"
 METHODS = {
     "SourceDescriptor.eval": (source.SourceDescriptor, "eval"),
     "CellField": (mesh.CellField, "__post_init__"),
+    "CellField.adopt": (mesh.CellField, "adopt"),
     "YieldLoss.rate_at": (factory.YieldLoss, "rate_at"),
 }
 
 # testcase2 at 200 cells to t = 0.5: 80 steps. The sink interpolates c(x)
 # once per run on the grid's cell centres; `verify` adds one interpolation
-# on its property probes.
+# on its property probes. A line run takes its loads from arrays, calling
+# `wip` once to check the domain, and builds no CellField per step: the
+# states stay arrays unless a reader asks for a field, and neither mode
+# reads the final field.
 # converge on burgers_shock, 2 levels from 25 cells: 14 + 28 = 42 steps,
 # each entropy check under Godunov making two eval_flux calls (the kink rows
 # with their midpoints, then the vertices) and two critical_points calls
-# (its k rows, and Godunov's extremum pass in the first call).
+# (its k rows, and Godunov's extremum pass in the first call). Each level
+# builds its final field, for the error against the exact solution.
 PINS = {
     ("simulate", "upwind-linear"): {
         "split_step": 80,
-        "eval_flux": 80, "critical_points": 0, "wip": 162,
-        "SourceDescriptor.eval": 80, "CellField": 1, "YieldLoss.rate_at": 1,
+        "eval_flux": 80, "critical_points": 0, "wip": 1,
+        "SourceDescriptor.eval": 80, "CellField": 1, "CellField.adopt": 0,
+        "YieldLoss.rate_at": 1,
     },
     ("verify", "godunov"): {
         "split_step": 80,
-        "eval_flux": 82, "critical_points": 80, "wip": 162,
-        "SourceDescriptor.eval": 161, "CellField": 1, "YieldLoss.rate_at": 2,
+        "eval_flux": 82, "critical_points": 80, "wip": 1,
+        "SourceDescriptor.eval": 161, "CellField": 1, "CellField.adopt": 0,
+        "YieldLoss.rate_at": 2,
     },
     ("converge", "burgers_shock"): {
         "split_step": 42,
         "eval_flux": 126, CHECK_FLUX: 84, "critical_points": 168,
+        "CellField.adopt": 2,
     },
 }
 
 # Python-level calls into the package on a second, warm run of the same
 # config, counted with sys.setprofile. Python 3.12 inlines comprehensions
 # (PEP 709), so its counts are equal or lower and the pins bound both.
-# converge's `run` fills each step's ghosts once more when sizing dt, over
-# the range its CFL guard checks: about 9 calls a step into the exact
-# solution behind its Dirichlet ghosts.
+# Each step reads the boundary schedules once, for both its dt and its
+# transport.
 PYTHON_CALL_PINS = {
-    ("simulate", "upwind-linear"): 3845,
-    ("verify", "godunov"): 5191,
-    ("converge", "burgers_shock"): 3758,
+    ("simulate", "upwind-linear"): 3203,
+    ("verify", "godunov"): 4549,
+    ("converge", "burgers_shock"): 3262,
 }
 PACKAGE_DIR = os.path.dirname(os.path.abspath(splitfv.__file__)) + os.sep
 
@@ -113,7 +120,12 @@ def install_counters(monkeypatch) -> dict[str, int]:
                 if value is original:
                     monkeypatch.setattr(module, key, wrapper)
     for name, (cls, attr) in METHODS.items():
-        monkeypatch.setattr(cls, attr, counted(name, cls.__dict__[attr]))
+        original = cls.__dict__[attr]
+        if isinstance(original, classmethod):
+            wrapped = classmethod(counted(name, original.__func__))
+        else:
+            wrapped = counted(name, original)
+        monkeypatch.setattr(cls, attr, wrapped)
     return counts
 
 

@@ -70,12 +70,13 @@ def expansion_shock_record(fluxdesc, left: float = -1.0, right: float = 1.0):
     """
     grid = build_grid(-0.5, 0.5, 10)
     values = np.where(grid.cell_centers < 0.0, left, right)
-    field = CellField(grid, values)
+    values.setflags(write=False)
     dt = 0.05
-    bc = BoundarySpec.dirichlet_pair(left, right)
-    after, gl, gr, f_left, f_right = transport_stage(field, dt, fluxdesc, bc)
-    return make_step_record(field, field, after, gl, gr, f_left, f_right,
-                            dt, fluxdesc, zero_source())
+    left, right = float(left), float(right)
+    after, f_left, f_right = transport_stage(values, dt, grid.dx, fluxdesc,
+                                             left, right)
+    return make_step_record(grid, 0.0, dt, values, values, after, left, right,
+                            f_left, f_right, fluxdesc, zero_source())
 
 
 # =============================================================
@@ -531,10 +532,11 @@ class TestBatchedSupremum:
         # Where every state is inf every cell is flat, so no state reaches
         # eval_flux; the refusal must not depend on that.
         grid = build_grid(-0.5, 0.5, 10)
-        field = CellField.adopt(grid, values.copy(), 0.0)
+        values = values.copy()
         # A decay source: zero_source's 0 * inf would warn before the check.
-        rec = make_step_record(field, field, field, values[0], values[-1],
-                               0.0, 0.0, 0.05, fluxdesc, proportional_decay(0.1))
+        rec = make_step_record(grid, 0.0, 0.05, values, values, values,
+                               values[0], values[-1], 0.0, 0.0, fluxdesc,
+                               proportional_decay(0.1))
         with pytest.raises(ValueError, match="non-finite"):
             entropy_residual_max(rec)
 

@@ -454,8 +454,8 @@ class TestRunFactory:
 def inflate_influx_ghost(monkeypatch):
     fill = splitting.fill_ghosts
 
-    def inflated(field_bar, bc, flux=None):
-        left, right = fill(field_bar, bc, flux)
+    def inflated(values, bc, edge, flux=None):
+        left, right = fill(values, bc, edge, flux)
         return 1.05 * left, right
 
     monkeypatch.setattr(splitting, "fill_ghosts", inflated)

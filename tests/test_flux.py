@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from splitfv import (
-    CellField,
     FLUX_KINDS,
     FactoryModel,
     NumericalFluxDescriptor,
@@ -518,36 +517,32 @@ class TestLipschitzAndMaxDt:
     def test_max_dt_on_documented_example(self):
         # Burgers data with values in [0, 2] on dx = 0.01 has sup|f'| = 2,
         # so the unit-CFL step is 0.005.
-        grid = build_grid(0.0, 1.0, 100)
         values = np.linspace(0.0, 2.0, 100)
-        field = CellField(grid, values)
         desc = godunov(burgers_flux())
-        assert max_dt(desc, field, cfl_number=1.0) == pytest.approx(0.005)
-        assert max_dt(desc, field, cfl_number=0.9) == pytest.approx(0.0045)
+        assert max_dt(desc, values, 0.01, cfl_number=1.0) == pytest.approx(0.005)
+        assert max_dt(desc, values, 0.01, cfl_number=0.9) == pytest.approx(0.0045)
 
     def test_max_dt_respects_cap(self):
-        grid = build_grid(0.0, 1.0, 10)
-        field = CellField(grid, np.full(10, 0.001))
         desc = godunov(burgers_flux())
-        assert max_dt(desc, field, 0.9, dt_cap=0.25) == pytest.approx(0.25)
+        assert max_dt(desc, np.full(10, 0.001), 0.1, 0.9,
+                      dt_cap=0.25) == pytest.approx(0.25)
 
     def test_max_dt_degenerate_flux_returns_cap(self):
-        grid = build_grid(0.0, 1.0, 10)
-        field = CellField(grid, np.zeros(10))
         desc = godunov(zero_flux())
-        assert max_dt(desc, field, 0.9, dt_cap=0.125) == pytest.approx(0.125)
+        assert max_dt(desc, np.zeros(10), 0.1, 0.9,
+                      dt_cap=0.125) == pytest.approx(0.125)
 
     def test_max_dt_widens_the_range_to_the_ghosts(self):
         # A ghost outside the field's values raises sup|f'| for the step.
-        grid = build_grid(0.0, 1.0, 100)
-        field = CellField(grid, np.linspace(0.0, 1.0, 100))
+        values = np.linspace(0.0, 1.0, 100)
         desc = godunov(burgers_flux())
-        assert max_dt(desc, field, 1.0, ghosts=(0.5, 2.0)) == pytest.approx(0.005)
-        assert max_dt(desc, field, 1.0, ghosts=(-4.0, 0.0)) == pytest.approx(0.0025)
-        assert max_dt(desc, field, 1.0, ghosts=(0.2, 0.9)) == max_dt(desc, field, 1.0)
+        assert max_dt(desc, values, 0.01, 1.0,
+                      ghosts=(0.5, 2.0)) == pytest.approx(0.005)
+        assert max_dt(desc, values, 0.01, 1.0,
+                      ghosts=(-4.0, 0.0)) == pytest.approx(0.0025)
+        assert max_dt(desc, values, 0.01, 1.0, ghosts=(0.2, 0.9)) \
+            == max_dt(desc, values, 0.01, 1.0)
 
     def test_max_dt_rejects_bad_cfl(self):
-        grid = build_grid(0.0, 1.0, 10)
-        field = CellField(grid, np.ones(10))
         with pytest.raises(ValueError):
-            max_dt(godunov(burgers_flux()), field, cfl_number=2.0)
+            max_dt(godunov(burgers_flux()), np.ones(10), 0.1, cfl_number=2.0)

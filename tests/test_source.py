@@ -286,14 +286,13 @@ class TestLinearSink:
         # pass, so 100 passes settle it only when q^100 <= 1e-12, below
         # q = 0.7586. Above that a linear sink takes the closed form with
         # no pass; at the source-stage dt limit all 100 used to run first.
-        passes = []
+        solves = []
         iterate = source_module._fixed_point
 
-        def counted(u0, dt, g):
-            def g_counted(w):
-                passes.append(1)
-                return g(w)
-            return iterate(u0, dt, g_counted)
+        def counted(*args):
+            w, converged = iterate(*args)
+            solves.append(converged)
+            return w, converged
 
         monkeypatch.setattr(source_module, "_fixed_point", counted)
         rate = 20.0
@@ -301,8 +300,8 @@ class TestLinearSink:
         u = np.linspace(0.0, 2.0, 200)
         x = np.linspace(0.0, 1.0, 200)
         w = implicit_source_step(u, x, 0.0, dt, proportional_decay(rate))
-        assert bool(passes) == iterates
-        assert len(passes) < 100
+        # Where it iterates, the passes settle every cell within 100.
+        assert solves == ([True] if iterates else [])
         assert np.abs(w - u + dt * rate * w).max() <= 1e-12
 
 

@@ -23,8 +23,10 @@ from splitfv import (
     godunov,
     linear_flux,
     march,
+    preset_scenario,
     proportional_decay,
     run,
+    run_factory,
     step,
     total_variation,
     transport_stage,
@@ -51,41 +53,39 @@ def make_field(values, x_min=0.0, x_max=1.0, time=0.0):
 class TestBoundaries:
     def test_dirichlet_pair(self):
         bc = BoundarySpec.dirichlet_pair(lambda t: 2.0 + t, 0.5)
-        field = make_field([1.0, 1.0, 1.0], time=3.0)
-        assert fill_ghosts(field, bc) == (5.0, 0.5)
+        values = np.ones(3)
+        assert fill_ghosts(values, bc, bc.values_at(3.0)) == (5.0, 0.5)
 
     def test_outflow_copies_last_cell(self):
         bc = BoundarySpec.dirichlet_outflow(1.0)
-        field = make_field([1.0, 2.0, 7.0])
-        assert fill_ghosts(field, bc) == (1.0, 7.0)
+        values = np.array([1.0, 2.0, 7.0])
+        assert fill_ghosts(values, bc, bc.values_at(0.0)) == (1.0, 7.0)
 
     def test_influx_divides_by_velocity(self):
         bc = BoundarySpec.influx_outflow(lambda t: 2.016)
-        field = make_field([2.8, 2.8])
-        gl, gr = fill_ghosts(field, bc, linear_flux(0.72))
+        values = np.full(2, 2.8)
+        gl, gr = fill_ghosts(values, bc, bc.values_at(0.0), linear_flux(0.72))
         assert gl == pytest.approx(2.8)
         assert gr == pytest.approx(2.8)
 
     def test_influx_requires_velocity(self):
         bc = BoundarySpec.influx_outflow(2.0)
-        field = make_field([1.0, 1.0])
         with pytest.raises(ValueError):
-            fill_ghosts(field, bc)
+            fill_ghosts(np.ones(2), bc, bc.values_at(0.0))
 
     def test_influx_refuses_a_flux_not_declared_linear(self):
         bc = BoundarySpec.influx_outflow(2.0)
-        field = make_field([1.0, 1.0])
+        edge = bc.values_at(0.0)
         with pytest.raises(ValueError, match="declared linear"):
-            fill_ghosts(field, bc, burgers_flux())
+            fill_ghosts(np.ones(2), bc, edge, burgers_flux())
         undeclared = PhysicalFlux(func=lambda u: 0.5 * u)
         with pytest.raises(ValueError, match="declared linear"):
-            fill_ghosts(field, bc, undeclared)
+            fill_ghosts(np.ones(2), bc, edge, undeclared)
 
     def test_influx_jams_at_vanishing_velocity(self):
         bc = BoundarySpec.influx_outflow(2.0)
-        field = make_field([1.0, 1.0])
         with pytest.raises(JammedLineError):
-            fill_ghosts(field, bc, linear_flux(1e-12))
+            fill_ghosts(np.ones(2), bc, bc.values_at(0.0), linear_flux(1e-12))
 
     def test_invalid_kinds_rejected(self):
         with pytest.raises(ValueError):
@@ -103,53 +103,56 @@ class TestTransportStage:
         # With c dt / dx = 1 the upwind update moves every value one cell
         # to the right, so the scheme reproduces the exact solution.
         values = rng.uniform(0.0, 2.0, 16)
-        field = make_field(values)
-        dx = field.grid.dx
+        dx = 1.0 / 16
         c = 0.5
         dt = dx / c
-        bc = BoundarySpec.dirichlet_pair(3.25, 0.0)
-        after, gl, gr, f_left, f_right = transport_stage(
-            field, dt, upwind_linear(linear_flux(c)), bc
+        after, f_left, f_right = transport_stage(
+            values, dt, dx, upwind_linear(linear_flux(c)), 3.25, 0.0
         )
         expected = np.concatenate([[3.25], values[:-1]])
-        assert_allclose(after.values, expected, atol=1e-13)
-        assert after.time == pytest.approx(dt)
-        assert f_left == pytest.approx(c * gl)
+        assert_allclose(after, expected, atol=1e-13)
+        assert not after.flags.writeable
+        assert f_left == pytest.approx(c * 3.25)
         assert f_right == pytest.approx(c * values[-1])
 
     def test_refuses_dt_above_hard_cfl_limit(self):
-        field = make_field(np.linspace(0.0, 2.0, 10))
-        dx = field.grid.dx
-        bc = BoundarySpec.dirichlet_pair(0.0, 2.0)
+        values = np.linspace(0.0, 2.0, 10)
+        dx = 0.1
         desc = godunov(burgers_flux())
         with pytest.raises(CFLViolationError):
-            transport_stage(field, 1.01 * dx / 2.0, desc, bc)
-        transport_stage(field, 0.99 * dx / 2.0, desc, bc)
+            transport_stage(values, 1.01 * dx / 2.0, dx, desc, 0.0, 2.0)
+        transport_stage(values, 0.99 * dx / 2.0, dx, desc, 0.0, 2.0)
 
     def test_ghosts_enter_the_cfl_range(self):
         # Interior values are small but a large ghost raises the Lipschitz
         # constant, so the same dt becomes inadmissible.
-        field = make_field(np.full(10, 0.1))
-        dx = field.grid.dx
+        values = np.full(10, 0.1)
+        dx = 0.1
         dt = 0.9 * dx / 0.1
         desc = godunov(burgers_flux())
-        ok_bc = BoundarySpec.dirichlet_pair(0.1, 0.1)
-        transport_stage(field, dt, desc, ok_bc)
-        hot_bc = BoundarySpec.dirichlet_pair(5.0, 0.1)
+        transport_stage(values, dt, dx, desc, 0.1, 0.1)
         with pytest.raises(CFLViolationError):
-            transport_stage(field, dt, desc, hot_bc)
+            transport_stage(values, dt, dx, desc, 5.0, 0.1)
+
+    def test_a_linear_flux_is_refused_above_its_speed_limit(self):
+        # A linear flux has one Lipschitz constant, |f(1)|, whatever the
+        # values, so the guard reads only the ghosts' range.
+        values = np.linspace(0.0, 50.0, 10)
+        dx = 0.1
+        desc = upwind_linear(linear_flux(2.0))
+        with pytest.raises(CFLViolationError):
+            transport_stage(values, 1.01 * dx / 2.0, dx, desc, 0.0, 0.0)
+        transport_stage(values, 0.99 * dx / 2.0, dx, desc, 0.0, 0.0)
 
     def test_conservation_identity(self, rng):
         # The update only moves mass through the two boundary interfaces.
         values = rng.uniform(-1.0, 1.0, 32)
-        field = make_field(values)
-        dx = field.grid.dx
+        dx = 1.0 / 32
         dt = 0.9 * dx / 1.0
-        bc = BoundarySpec.dirichlet_pair(0.3, -0.2)
-        after, _, _, f_left, f_right = transport_stage(
-            field, dt, godunov(burgers_flux()), bc
+        after, f_left, f_right = transport_stage(
+            values, dt, dx, godunov(burgers_flux()), 0.3, -0.2
         )
-        mass_change = dx * (after.values.sum() - values.sum())
+        mass_change = dx * (after.sum() - values.sum())
         assert mass_change == pytest.approx(dt * (f_left - f_right), abs=1e-12)
 
 
@@ -371,8 +374,8 @@ class TestRun:
         # march that starts stepping toward a horizon it cannot reach.
         proposals = []
 
-        def pick_dt(field, report):
-            proposals.append(field.time)
+        def pick_dt(u, t, edge, report):
+            proposals.append(t)
             if len(proposals) > 10:
                 raise AssertionError("march kept stepping")
             return 0.1
@@ -413,3 +416,77 @@ class TestRun:
         report = shock_run(observers=(lambda rec: seen.append(rec.dt),))
         assert len(seen) == report.n_steps
         assert_allclose(seen, report.dts)
+
+
+# =============================================================
+# Step records
+# =============================================================
+
+RECORD_FIELDS = ("field_before", "field_bar", "field_after")
+
+
+def line_run(observers=()):
+    scenario = preset_scenario("testcase2")
+    return run_factory(scenario.model, scenario.initial_density,
+                       TimeAxis(t_final=0.5), observers=observers,
+                       checkpoint_times=(0.0, 0.25, 0.5),
+                       grid=build_grid(0.0, 1.0, 50))
+
+
+def report_series(report):
+    return (report.times, report.dts, report.linf, report.tv,
+            report.tv_interior, report.ghost_left, report.ghost_right,
+            report.channels,
+            {t: v.tolist() for t, v in report.checkpoints.items()},
+            report.final_field.values.tolist())
+
+
+class TestStepRecord:
+    @pytest.mark.parametrize("make_run", [line_run, shock_run],
+                             ids=["line", "burgers-shock"])
+    def test_reading_every_field_leaves_the_run_unchanged(self, make_run):
+        # The fields are built on first read; building them must not touch
+        # the arrays the run goes on with.
+        def read_all(rec):
+            for name in RECORD_FIELDS:
+                field = getattr(rec, name)
+                field.bounds, field.jumps, field.values.sum()
+            rec.t_after, rec.u_before, rec.u_bar, rec.u_after
+
+        plain = make_run()
+        read = make_run(observers=[read_all])
+        assert report_series(read) == report_series(plain)
+
+    def test_fields_are_read_only_built_once_and_chained(self):
+        records = []
+        report = line_run(observers=[records.append])
+        assert len(records) == report.n_steps > 2
+        assert records[0].field_before is report.initial
+        for rec in records:
+            for name in RECORD_FIELDS:
+                field = getattr(rec, name)
+                assert getattr(rec, name) is field
+                assert not field.values.flags.writeable
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(rec, name, field)
+            assert rec.field_bar.values is rec.u_bar
+            assert rec.field_bar.time == rec.t_before
+            assert rec.field_after.values is rec.u_after
+            assert rec.field_after.time == rec.t_after
+            for array in (rec.u_before, rec.u_bar, rec.u_after):
+                assert not array.flags.writeable
+        for before, after in zip(records, records[1:]):
+            assert before.field_after is after.field_before
+        assert report.final_field is records[-1].field_after
+
+    def test_a_run_builds_no_field_per_step(self, monkeypatch):
+        # Without a reader, the states stay arrays: the final field is the
+        # one field the report builds, and only when it is read.
+        adopted = []
+        adopt = CellField.adopt.__func__
+        monkeypatch.setattr(CellField, "adopt", classmethod(
+            lambda cls, *args: adopted.append(1) or adopt(cls, *args)))
+        report = line_run()
+        assert report.n_steps > 2 and adopted == []
+        assert report.final_field is report.final_field
+        assert len(adopted) == 1
