@@ -18,11 +18,15 @@ linear and quadratic fluxes. That takes two numerical flux calls a step:
 the endpoints with the midpoints, then the vertices. A cell whose five
 states are equal (flat) has a transport part of exactly 0.0 at every k and
 is left out of both calls. For a flux declared linear (PhysicalFlux.linear)
-the endpoints alone are searched: a linear piece peaks at one of them.
-When, in addition, F(a, b) is f(a) (flux._is_upwind: upwind-linear, or
-Godunov with f(1) >= 0), G reduces to f(max(s, k)) - f(min(s, k)) at the
-upwind state s and the check makes no numerical flux call at all. The
-check reads the flux and the source from the step's record. At k = ubar_j,
+the endpoints alone are searched, unsorted: a linear piece peaks at one of
+them, and the smallest k holding a cell's maximum is the one a sort would
+rank first (of k = -0.0 and +0.0, the first in row order). When, in
+addition, F(a, b) is f(a) (flux._is_upwind: upwind-linear, or Godunov with
+f(1) >= 0), G reduces to f(max(s, k)) - f(min(s, k)) at the upwind state
+s, and that is |f(s) - f(k)| to the bit: rounded f is nondecreasing, so it
+is the same subtraction or its negation. The check then evaluates f once
+on the endpoints and makes no numerical flux call at all. The check
+reads the flux and the source from the step's record. At k = ubar_j,
 where the source term's sign jumps, the residual is taken as the larger of
 its two one-sided limits, so no tie convention enters.
 
@@ -36,6 +40,7 @@ includes the boundary data (ghost values and their variation in time).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,10 +83,31 @@ class EntropyCheckResult:
         return self.max_residual <= self.tolerance
 
 
+def _add_source_term(r: np.ndarray, bar: np.ndarray, k: np.ndarray,
+                     source_values: np.ndarray, dt: float) -> None:
+    """Add the source term -sign(ubar_j - k) dt g_j to the residual rows r
+    in place.
+
+    At k = ubar_j, where the sign jumps, the term is dt |g_j|: the larger
+    of its two one-sided limits. Every term is +-dt |g_j|, so it is added
+    as copysign(dt |g_j|, y) with y = sigma k - sigma ubar_j + 0.0 and
+    sigma = sign(g_j): away from the jump y has the term's sign, and at it
+    y is +0.0 (the + 0.0 turns the -0.0 of -0.0 - +0.0 into +0.0). When
+    every g_j is +-0 the term is left out: the transport part is never
+    -0.0, so adding +-0 keeps it.
+    """
+    if np.count_nonzero(source_values):
+        sigma = np.sign(source_values)
+        y = sigma * k - sigma * bar
+        y += 0.0
+        r += np.copysign(np.abs(dt * source_values), y, out=y)
+
+
 def _residual_rows(rec: StepRecord, states: np.ndarray,
                    cells: np.ndarray | slice, k: np.ndarray,
                    source_values: np.ndarray) -> np.ndarray:
-    """Residual of every cell for each row of per-cell k values, shape (rows, n).
+    """Residual of every cell for each row of per-cell k values, shape
+    (rows, n), with the entropy fluxes from eval_flux.
 
     states holds the five states (u_j, u_j^+, ubar_{j-1}, ubar_j, ubar_{j+1})
     of the columns that cells selects: the cells that are not flat, or
@@ -92,44 +118,22 @@ def _residual_rows(rec: StepRecord, states: np.ndarray,
     0.0 at every k. The two interfaces of a cell share ubar_j, so max and
     min against k are taken once for each of the three ubar states; the
     interfaces' left and right arguments are overlapping views of that one
-    array, evaluated in a single eval_flux call. When F(a, b) is f(a)
-    (_is_upwind), G is f(max(s, k)) - f(min(s, k)) at the upwind state s,
-    from one evaluation of the physical flux and no eval_flux call; the
-    floats are those eval_flux would give, up to the sign of an exact zero.
-    The source term is computed on every cell; at k = ubar_j, where
-    sign(ubar_j - k) jumps, it takes the sign that makes it dt |g|: the
-    larger of its two one-sided limits.
+    array, evaluated in a single eval_flux call.
     """
-    bar = rec.u_bar
     r = np.zeros(k.shape)
     if states.shape[1]:  # eval_flux takes the range of a non-empty batch
-        fluxdesc = rec.fluxdesc
-        upwind = _is_upwind(fluxdesc)
         kc = k[:, cells]
         # x[0] holds max(state, k), x[1] min(state, k), for the states
-        # ubar_{j-1}, ubar_j and ubar_{j+1}; the upwind flux reads only the
-        # first two, each interface's left state.
-        ubar = states[2:4] if upwind else states[2:]
-        x = np.empty((2, len(ubar)) + kc.shape)
-        np.maximum(ubar[:, None, :], kc, out=x[0])
-        np.minimum(ubar[:, None, :], kc, out=x[1])
-        if upwind:
-            f = fluxdesc.physical.eval(x)
-        else:
-            f = eval_flux(fluxdesc, x[:, :2], x[:, 1:])
+        # ubar_{j-1}, ubar_j and ubar_{j+1}.
+        x = np.empty((2, 3) + kc.shape)
+        np.maximum(states[2:, None, :], kc, out=x[0])
+        np.minimum(states[2:, None, :], kc, out=x[1])
+        f = eval_flux(rec.fluxdesc, x[:, :2], x[:, 1:])
         g = f[0] - f[1]  # left interface, right interface
         r[:, cells] = (np.abs(states[1] - kc) - np.abs(states[0] - kc)
                        + rec.dt / rec.grid.dx * (g[1] - g[0]))
-    s = np.where(bar == k, -np.sign(source_values), np.sign(bar - k))
-    r -= s * rec.dt * source_values
+    _add_source_term(r, rec.u_bar, k, source_values, rec.dt)
     return r
-
-
-def _source_values(rec: StepRecord) -> np.ndarray:
-    x = rec.grid.cell_centers
-    return np.asarray(
-        rec.src.eval(x, rec.t_before, rec.u_bar), dtype=float
-    )
 
 
 def entropy_residual_max(rec: StepRecord) -> EntropyCheckResult:
@@ -139,39 +143,41 @@ def entropy_residual_max(rec: StepRecord) -> EntropyCheckResult:
     Cell j's residual is piecewise smooth in k. Its kinks sit at the five
     values entering the inequality (u_j, u_j^+, ubar_{j-1}, ubar_j,
     ubar_{j+1}) and at critical points of the physical flux; outside all of
-    them it is constant; between them it inherits the flux's shape. Each
-    piece is evaluated at its endpoints and midpoint, plus the vertex of
-    the parabola through those three points when it arches above them.
-    For linear and quadratic fluxes every piece is itself linear or
-    quadratic, so this search is exhaustive; for other smooth fluxes it is
-    a per-piece refinement of the endpoint search.
+    them it is constant; between them it inherits the flux's shape. The
+    kink rows are the five states, each cell's lowest state - 1 and highest
+    state + 1 (one point of each constant tail), and the critical points
+    within the range of all states. Each piece between consecutive kinks is
+    evaluated at its endpoints and midpoint, plus the vertex of the
+    parabola through those three points when it arches above them. For
+    linear and quadratic fluxes every piece is itself linear or quadratic,
+    so this search is exhaustive; for other smooth fluxes it is a per-piece
+    refinement of the endpoint search.
 
-    The per-cell k candidates form (rows, n) arrays evaluated in two
-    batches, one eval_flux call each: the R sorted kink rows together with
-    every piece's midpoint, as one (2R - 1, n) array, and then every
-    piece's vertex, which needs the midpoint residuals. eval_flux is
-    elementwise, so the merged batch gives each entry the floats it would
-    get alone. A piece whose row has no cell of positive width adds no
-    candidate. Candidates are ranked in the order rows, midpoint 0,
-    vertex 0, midpoint 1, vertex 1, ..., and the first maximum wins, in
-    each cell and then across cells.
+    The states are refused (ValueError) before any flux work if one is not
+    finite, flat cells included.
 
-    A cell is flat when its five states are equal. There the transport
-    part of the residual is exactly 0.0 at every k, so both batches compute
-    it only on the other cells (gathered once) and the residual of a flat
-    cell is its source term alone. The k rows, with the critical points
-    taken over all cells, and the candidates are the same as without the
-    shortcut, so the result is too. Non-finite states are refused
-    (ValueError) before any flux work, flat cells included.
+    For a flux declared linear only the kink rows are evaluated, unsorted
+    and on all cells. Every piece is then linear in k, so its midpoint and
+    vertex lie between its endpoint values; as rows rank first, they could
+    change the result only by rounding above both ends. The winner is the
+    first cell holding the largest residual, then the smallest k among
+    that cell's rows holding it: the row a sort of k would rank first. Of
+    k = -0.0 and k = +0.0, which compare equal and give equal residuals,
+    the first in row order wins. If the numerical flux is upwind-linear,
+    or Godunov with f(1) >= 0, F(a, b) is f(a) (flux._is_upwind) and rounded
+    f is nondecreasing, so G(a, b; k) = f(max(a, k)) - f(min(a, k)) is
+    |f(a) - f(k)| to the bit: the same subtraction or its negation. Rows 2
+    and 3 are the upwind states ubar_{j-1} and ubar_j, so one evaluation of
+    f on the kink rows gives every entropy flux, with no eval_flux call;
+    such an entropy flux may differ from eval_flux's only in the sign of an
+    exact zero, which the residual does not see. Otherwise the rows take
+    one eval_flux call.
 
-    For a flux declared linear only the kink rows are evaluated, one
-    eval_flux call on all cells. Every piece is then linear in k, so its
-    midpoint and vertex lie between its endpoint values; as rows rank
-    first, they could change the result only by rounding above both ends.
-    If the numerical flux is also upwind-linear, or Godunov with
-    f(1) >= 0, F(a, b) is f(a) (flux._is_upwind), and the rows take no
-    eval_flux call: G(a, b; k) is f(max(a, k)) - f(min(a, k)), the same
-    floats.
+    Any other flux takes the sorted search of _piecewise_supremum.
+
+    The residual is never -0.0: |u^+ - k| - |u - k| is +0.0 where it
+    vanishes, and adding a zero to it, or subtracting one, keeps that. So a
+    source that is +-0 in every cell is left out exactly.
 
     The source term's sign jumps at k = ubar_j. The row there takes the
     larger of the residual's two one-sided limits, so it bounds every value
@@ -180,44 +186,91 @@ def entropy_residual_max(rec: StepRecord) -> EntropyCheckResult:
     largest state magnitude before or after the step (at least 1).
     """
     fluxdesc = rec.fluxdesc
-    gsrc = _source_values(rec)
+    phys = fluxdesc.physical
     bar = rec.u_bar
     n = bar.size
-    ext = np.concatenate([[rec.ghost_left], bar, [rec.ghost_right]])
-    local = np.array([
-        rec.u_before,
-        rec.u_after,
-        ext[:-2],
-        bar,
-        ext[2:],
-    ])
-    tolerance = 1e-10 * max(1.0, float(np.abs(local[:2]).max()))
-    lo = local.min(axis=0)
-    hi = local.max(axis=0)
-    rows = [local, lo[None, :] - 1.0, hi[None, :] + 1.0]
-    for c in critical_points(fluxdesc.physical, float(lo.min()), float(hi.max())):
-        rows.append(np.full((1, n), c))
-    k_rows = np.sort(np.concatenate(rows), axis=0)
-    # A flat cell's states never reach the flux, so they are checked here.
-    if not (np.isfinite(ext).all() and np.isfinite(k_rows).all()):
+    rows = np.empty((7, n))
+    local = rows[:5]
+    local[0], local[1], local[3] = rec.u_before, rec.u_after, bar
+    local[2, 0], local[2, 1:] = rec.ghost_left, bar[:-1]
+    local[4, :-1], local[4, -1] = bar[1:], rec.ghost_right
+    lo, hi = rows[5], rows[6]
+    np.minimum.reduce(local, axis=0, out=lo)
+    np.maximum.reduce(local, axis=0, out=hi)
+    lo_min = float(np.minimum.reduce(lo))
+    hi_max = float(np.maximum.reduce(hi))
+    # min and max propagate NaN and an infinite state is an extreme, so the
+    # range's ends are finite only if every state is.
+    if not (math.isfinite(lo_min) and math.isfinite(hi_max)):
         raise ValueError("non-finite state passed to the entropy check")
-    linear = fluxdesc.physical.linear
-    if linear:
-        # On the line model the sink changes every cell, so no cell is
-        # flat; the kink rows are evaluated on all cells, with no gather.
-        k, cells, states = k_rows, slice(None), local
+    tolerance = 1e-10 * max(1.0, float(np.maximum.reduce(
+        np.abs(local[:2]), axis=None)))
+    lo -= 1.0
+    hi += 1.0
+    crits = critical_points(phys, lo_min, hi_max)
+    if crits:
+        rows = np.concatenate(
+            [rows, np.repeat(np.array(crits)[:, None], n, axis=1)])
+    gsrc = np.asarray(rec.src.eval(rec.grid.cell_centers, rec.t_before, bar),
+                      dtype=float)
+    if not phys.linear:
+        return _piecewise_supremum(rec, local, np.sort(rows, axis=0), gsrc,
+                                   tolerance)
+    if _is_upwind(fluxdesc):
+        f_k = phys.eval(rows)
+        g_right = np.abs(f_k[3] - f_k)
+        g_left = np.abs(f_k[2] - f_k)
+        r = (np.abs(rec.u_after - rows) - np.abs(rec.u_before - rows)
+             + rec.dt / rec.grid.dx * (g_right - g_left))
+        _add_source_term(r, bar, rows, gsrc, rec.dt)
     else:
-        k1, k2 = k_rows[:-1], k_rows[1:]
-        half = 0.5 * (k2 - k1)
-        live = half > 1e-13 * np.maximum(1.0, np.abs(k1) + np.abs(k2))
-        km = k1 + half
-        k = np.concatenate([k_rows, km])
-        cells = np.flatnonzero((local != bar).any(axis=0))
-        states = local[:, cells]
-    r = _residual_rows(rec, states, cells, k, gsrc)
-    if linear:
-        return _worst_candidate(r, k, tolerance, rec.t_before)
+        r = _residual_rows(rec, local, slice(None), rows, gsrc)
+    worst = np.maximum.reduce(r, axis=0)
+    cell = int(worst.argmax())
+    best = float(worst[cell])
+    col = r[:, cell].tolist()
+    k_col = rows[:, cell].tolist()
+    # NaN ranks above every number, as in argmax.
+    hits = [i for i, v in enumerate(col)
+            if v == best or (v != v and best != best)]
+    row = min(hits, key=k_col.__getitem__)
+    return EntropyCheckResult(col[row], tolerance, cell, k_col[row],
+                              rec.t_before)
 
+
+def _piecewise_supremum(rec: StepRecord, local: np.ndarray,
+                        k_rows: np.ndarray, source_values: np.ndarray,
+                        tolerance: float) -> EntropyCheckResult:
+    """entropy_residual_max for a flux not declared linear, from the five
+    states of every cell (local, shape (5, n)) and the sorted kink rows
+    (k_rows, shape (R, n)).
+
+    The candidates are evaluated in two batches, one eval_flux call each:
+    the R kink rows together with every piece's midpoint, as one
+    (2R - 1, n) array, and then every piece's vertex, which needs the
+    midpoint residuals. eval_flux is elementwise, so the merged batch gives
+    each entry the floats it would get alone. A piece whose row has no
+    cell of positive width adds no candidate. Candidates rank in the order
+    rows, midpoint 0, vertex 0, midpoint 1, vertex 1, ..., and the first
+    maximum wins, in each cell and then across cells: the cell is the
+    first whose largest candidate is the largest, and only its column is
+    put in rank order.
+
+    A cell is flat when its five states are equal. There the transport
+    part of the residual is exactly 0.0 at every k, so both batches compute
+    it only on the other cells (gathered once) and the residual of a flat
+    cell is its source term alone. The k rows, with the critical points
+    taken over all cells, and the candidates are the same as without the
+    shortcut, so the result is too.
+    """
+    k1, k2 = k_rows[:-1], k_rows[1:]
+    half = 0.5 * (k2 - k1)
+    live = half > 1e-13 * np.maximum(1.0, np.abs(k1) + np.abs(k2))
+    km = k1 + half
+    cells = np.flatnonzero((local != rec.u_bar).any(axis=0))
+    states = local[:, cells]
+    r = _residual_rows(rec, states, cells, np.concatenate([k_rows, km]),
+                       source_values)
     m = len(k_rows)
     r_rows, rm = r[:m], r[m:]
     r1, r2 = r_rows[:-1], r_rows[1:]
@@ -227,32 +280,21 @@ def entropy_residual_max(rec: StepRecord) -> EntropyCheckResult:
     shift = np.zeros_like(km)
     np.divide(-half * (r2 - r1), 2.0 * arch, out=shift, where=live & (arch < 0.0))
     kv = km + np.clip(shift, -half, half)
-    rv = _residual_rows(rec, states, cells, kv, gsrc)
+    rv = _residual_rows(rec, states, cells, kv, source_values)
     dead = ~np.any(live, axis=1)
     rm[dead] = -np.inf
     rv[dead] = -np.inf
 
-    # Candidates in rank order: rows, midpoint 0, vertex 0, midpoint 1, ...
-    cand_r = np.empty((3 * m - 2, n))
-    cand_k = np.empty((3 * m - 2, n))
-    cand_r[:m], cand_r[m::2], cand_r[m + 1::2] = r_rows, rm, rv
-    cand_k[:m], cand_k[m::2], cand_k[m + 1::2] = k_rows, km, kv
-    return _worst_candidate(cand_r, cand_k, tolerance, rec.t_before)
-
-
-def _worst_candidate(cand_r: np.ndarray, cand_k: np.ndarray, tolerance: float,
-                     t_before: float) -> EntropyCheckResult:
-    """The first cell holding the largest column maximum, then the first
-    row of that cell's column holding it."""
-    worst_cell = int(np.argmax(cand_r.max(axis=0)))
-    row = int(np.argmax(cand_r[:, worst_cell]))
-    return EntropyCheckResult(
-        max_residual=float(cand_r[row, worst_cell]),
-        tolerance=tolerance,
-        cell_index=worst_cell,
-        k_value=float(cand_k[row, worst_cell]),
-        t_before=t_before,
-    )
+    worst = np.maximum(np.maximum(r_rows.max(axis=0), rm.max(axis=0)),
+                       rv.max(axis=0))
+    cell = int(np.argmax(worst))
+    cand_r = np.concatenate(
+        [r_rows[:, cell], np.stack([rm[:, cell], rv[:, cell]], axis=1).ravel()])
+    cand_k = np.concatenate(
+        [k_rows[:, cell], np.stack([km[:, cell], kv[:, cell]], axis=1).ravel()])
+    row = int(np.argmax(cand_r))
+    return EntropyCheckResult(float(cand_r[row]), tolerance, cell,
+                              float(cand_k[row]), rec.t_before)
 
 
 class EntropyObserver:

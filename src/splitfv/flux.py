@@ -42,7 +42,7 @@ that the monotonicity checker has something to fail on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,8 +72,10 @@ class PhysicalFlux:
             entropy check miss a maximum inside a piece, or take f(a) for
             a Godunov flux.
 
-    `speed` is derived, not passed: f(1) as a float for a flux declared
-    linear, None otherwise. It is the one place f(1) is evaluated.
+    `speed` is derived: f(1) as a float for a flux declared linear, None
+    otherwise. It is the one place f(1) is evaluated, except that
+    linear_flux, whose f(1) is its speed times 1.0, passes it in as
+    _speed and so skips the evaluation on a 0-d array.
     """
 
     func: Callable
@@ -81,9 +83,15 @@ class PhysicalFlux:
     lipschitz_on: Callable | None = None
     critical: tuple[float, ...] | None = None
     linear: bool = False
+    _speed: InitVar[float | None] = None
 
-    def __post_init__(self):
-        speed = float(self.func(np.asarray(1.0))) if self.linear else None
+    def __post_init__(self, _speed):
+        if not self.linear:
+            speed = None
+        elif _speed is not None:
+            speed = _speed
+        else:
+            speed = float(self.func(np.asarray(1.0)))
         object.__setattr__(self, "speed", speed)
 
     def eval(self, u):
@@ -130,6 +138,7 @@ def linear_flux(speed: float) -> PhysicalFlux:
         lipschitz_on=lambda lo, hi: abs(c),
         critical=(),
         linear=True,
+        _speed=c,
     )
 
 
@@ -291,7 +300,9 @@ def eval_flux(desc: NumericalFluxDescriptor, a, b):
 
     Accepts scalars or equally shaped numpy arrays; returns the same shape.
     Where F(a, b) is f(a) (_is_upwind) it returns f(a), with no extremum
-    pass: Godunov's values up to the sign of an exact zero.
+    pass: Godunov's values up to the sign of an exact zero. A non-finite
+    state that reaches the flux is refused (ValueError); on that route b
+    never does, so only a is checked.
     """
     aa = np.asarray(a, dtype=float)
     bb = np.asarray(b, dtype=float)
@@ -300,10 +311,11 @@ def eval_flux(desc: NumericalFluxDescriptor, a, b):
         aa, bb = aa.reshape(1), bb.reshape(1)
     if aa.shape != bb.shape:
         aa, bb = np.broadcast_arrays(aa, bb)
-    if not (np.isfinite(aa).all() and np.isfinite(bb).all()):
+    upwind = _is_upwind(desc)
+    if not (np.isfinite(aa).all() and (upwind or np.isfinite(bb).all())):
         raise ValueError("non-finite interface state passed to eval_flux")
     phys = desc.physical
-    if _is_upwind(desc):
+    if upwind:
         out = phys.eval(aa)
     elif desc.kind == "lax-friedrichs":
         out = 0.5 * (phys.eval(aa) + phys.eval(bb)) - 0.5 * desc.viscosity * (bb - aa)

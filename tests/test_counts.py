@@ -72,11 +72,14 @@ PINS = {
 # config, counted with sys.setprofile. Python 3.12 inlines comprehensions
 # (PEP 709), so its counts are equal or lower and the pins bound both.
 # Each step reads the boundary schedules once, for both its dt and its
-# transport.
+# transport. A line step's flux takes its speed without calling f. An
+# entropy check of a line step makes ten: itself, critical_points and its
+# comprehension, the sink and its descriptor, _is_upwind, f and its
+# descriptor, the source term and the ranking's comprehension.
 PYTHON_CALL_PINS = {
-    ("simulate", "upwind-linear"): 3203,
-    ("verify", "godunov"): 4549,
-    ("converge", "burgers_shock"): 3262,
+    ("simulate", "upwind-linear"): 3123,
+    ("verify", "godunov"): 4388,
+    ("converge", "burgers_shock"): 3220,
 }
 PACKAGE_DIR = os.path.dirname(os.path.abspath(splitfv.__file__)) + os.sep
 

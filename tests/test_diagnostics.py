@@ -17,6 +17,7 @@ from splitfv import (
     SourceDescriptor,
     TimeAxis,
     YieldLoss,
+    advection_decay_problem,
     build_grid,
     burgers_flux,
     check_linf_bound,
@@ -32,6 +33,7 @@ from splitfv import (
     proportional_decay,
     run,
     run_factory,
+    solve_on_grid,
     step_influx,
     time_bv_report,
     transport_stage,
@@ -41,6 +43,7 @@ from splitfv import (
 )
 import splitfv.diagnostics
 import splitfv.flux
+import splitfv.verify
 from splitfv.flux import critical_points, eval_flux, flux_lipschitz
 
 
@@ -218,13 +221,14 @@ def burgers_shock_records():
     return records
 
 
-def line_records(preset: str, flux_kind: str):
-    """Steps of a preset line (linear flux) on 40 cells to t = 1."""
+def line_records(preset: str, flux_kind: str, n_cells: int = 40,
+                 time_axis: TimeAxis = TimeAxis(1.0, dt_max=0.05)):
+    """Steps of a preset line (linear flux), by default on 40 cells to t = 1."""
     scenario = preset_scenario(preset)
     records = []
     run_factory(scenario.model, scenario.initial_density,
-                time_axis=TimeAxis(1.0, dt_max=0.05), flux_kind=flux_kind,
-                grid=build_grid(0.0, 1.0, 40), observers=[records.append])
+                time_axis=time_axis, flux_kind=flux_kind,
+                grid=build_grid(0.0, 1.0, n_cells), observers=[records.append])
     return records
 
 
@@ -426,6 +430,81 @@ def three_batch_supremum(rec):
     row = int(np.argmax(cand_r[:, cell]))
     return (float(cand_r[row, cell]), cell, float(cand_k[row, cell]),
             tolerance)
+
+
+def sorted_rows_supremum(rec):
+    """Reference for entropy_residual_max on a flux declared linear: the
+    kink rows sorted by k and evaluated in one batch, with the first
+    maximum winning in each cell and then across cells. Where F(a, b) is
+    f(a) the entropy flux is f(max(s, k)) - f(min(s, k)) at the upwind
+    state s; otherwise it takes one eval_flux call.
+
+    Returns (max_residual, cell_index, k_value, tolerance).
+    """
+    fluxdesc = rec.fluxdesc
+    before, bar, after = rec.u_before, rec.u_bar, rec.u_after
+    n = bar.size
+    dtdx = rec.dt / rec.grid.dx
+    ext = np.concatenate([[rec.ghost_left], bar, [rec.ghost_right]])
+    gsrc = np.asarray(rec.src.eval(rec.grid.cell_centers, rec.t_before, bar),
+                      dtype=float)
+    local = np.array([before, after, ext[:-2], bar, ext[2:]])
+    tolerance = 1e-10 * max(1.0, float(np.abs(local[:2]).max()))
+    lo = local.min(axis=0)
+    hi = local.max(axis=0)
+    rows = [local, lo[None, :] - 1.0, hi[None, :] + 1.0]
+    rows += [np.full((1, n), c) for c in critical_points(
+        fluxdesc.physical, float(lo.min()), float(hi.max()))]
+    k = np.sort(np.concatenate(rows), axis=0)
+    upwind = splitfv.flux._is_upwind(fluxdesc)
+    ubar = local[2:4] if upwind else local[2:]
+    x = np.empty((2, len(ubar)) + k.shape)
+    np.maximum(ubar[:, None, :], k, out=x[0])
+    np.minimum(ubar[:, None, :], k, out=x[1])
+    if upwind:
+        f = fluxdesc.physical.eval(x)
+    else:
+        f = eval_flux(fluxdesc, x[:, :2], x[:, 1:])
+    g = f[0] - f[1]  # left interface, right interface
+    r = np.abs(after - k) - np.abs(before - k) + dtdx * (g[1] - g[0])
+    s = np.where(bar == k, -np.sign(gsrc), np.sign(bar - k))
+    r -= s * rec.dt * gsrc
+    cell = int(np.argmax(r.max(axis=0)))
+    row = int(np.argmax(r[:, cell]))
+    return (float(r[row, cell]), cell, float(k[row, cell]), tolerance)
+
+
+def assert_equals_sorted_rows_search(records):
+    """Every record's result is the reference's tuple, and its largest
+    residual has the reference's very bytes (== does not see the sign of a
+    zero)."""
+    assert records
+    for rec in records:
+        res = entropy_residual_max(rec)
+        reference = sorted_rows_supremum(rec)
+        got = (res.max_residual, res.cell_index, res.k_value, res.tolerance)
+        assert got == reference, rec.t_before
+        assert (np.float64(res.max_residual).tobytes()
+                == np.float64(reference[0]).tobytes()), rec.t_before
+
+
+# g = 0.2 everywhere: a source term that is not zero at u = 0.
+CONSTANT_SOURCE = SourceDescriptor(
+    func=lambda x, t, u: np.full(np.shape(u), 0.2),
+    lipschitz_u=0.0, sup_at_zero=0.2, tv_bound=lambda t: 0.0)
+
+
+def tied_zero_record(fluxdesc, src):
+    """One hand-made step of four cells whose states mix -0.0 and +0.0 and
+    repeat one another, so that k rows tie within and across cells."""
+    grid = build_grid(0.0, 1.0, 4)
+    before = np.array([-0.0, 0.0, 0.5, 0.5])
+    bar = np.array([0.0, -0.0, 0.5, 0.25])
+    after = np.array([0.0, 0.0, 0.5, -0.0])
+    for a in (before, bar, after):
+        a.setflags(write=False)
+    return make_step_record(grid, 0.0, 0.1, before, bar, after, -0.0, 0.0,
+                            0.0, 0.0, fluxdesc, src)
 
 
 class TestBatchedSupremum:
@@ -699,6 +778,70 @@ class TestBatchedSupremum:
         exact = assert_dominates_dense_sweep(rec)
         assert exact.max_residual > 0.4
         assert not exact.passed
+
+
+class TestLinearRouteParity:
+    """The unsorted, upwind-direct linear route gives the sorted search's
+    result bit for bit."""
+
+    @pytest.mark.parametrize("flux_kind", ["upwind-linear", "godunov"])
+    @pytest.mark.parametrize("preset", ["testcase1", "testcase2"])
+    def test_every_line_step_at_200_cells(self, preset, flux_kind):
+        records = line_records(preset, flux_kind, n_cells=200,
+                               time_axis=TimeAxis(2.0))
+        assert len(records) > 300
+        assert_equals_sorted_rows_search(records)
+
+    def test_every_advection_decay_step(self, monkeypatch):
+        # The study's own run, with its ghosts from the exact solution.
+        records = []
+
+        class Recorder(EntropyObserver):
+            def __call__(self, rec):
+                records.append(rec)
+                super().__call__(rec)
+
+        monkeypatch.setattr(splitfv.verify, "EntropyObserver", Recorder)
+        solve_on_grid(advection_decay_problem(), 50)
+        assert_equals_sorted_rows_search(records)
+
+    @pytest.mark.parametrize("flux_kind", ["upwind-linear", "godunov"])
+    def test_every_empty_line_step(self, flux_kind):
+        # Every source value is a zero, so the source term is left out.
+        records = empty_line_records(flux_kind)
+        assert not np.any(records[-1].u_after)
+        assert_equals_sorted_rows_search(records)
+
+    @pytest.mark.parametrize("src", [
+        zero_source(), proportional_decay(0.5), CONSTANT_SOURCE,
+    ], ids=["zero", "decay", "constant"])
+    @pytest.mark.parametrize("fluxdesc", [
+        upwind_linear(linear_flux(0.72)),
+        godunov(linear_flux(0.72)),
+        upwind_linear(linear_flux(0.0)),
+        lax_friedrichs(linear_flux(0.72), viscosity=1.0),
+        godunov(linear_flux(-0.5)),
+    ], ids=["upwind", "godunov", "upwind-speed-0", "lax-friedrichs",
+            "godunov-backward"])
+    def test_signed_zeros_and_ties(self, fluxdesc, src):
+        assert_equals_sorted_rows_search([tied_zero_record(fluxdesc, src)])
+
+    def test_a_tie_between_zeros_goes_to_the_first_row(self):
+        # u_j is -0.0 and every other state +0.0, under a flux of speed 0,
+        # so the transport part is 0 at every k. The constant source lifts
+        # k = ubar_j and every k above it to the largest residual, dt g, in
+        # every cell. The smallest such k are the five zero states, and
+        # row order names u_0 = -0.0 of cell 0.
+        grid = build_grid(0.0, 1.0, 4)
+        before = np.full(4, -0.0)
+        zeros = np.zeros(4)
+        rec = make_step_record(grid, 0.0, 0.1, before, zeros, zeros, 0.0, 0.0,
+                               0.0, 0.0, upwind_linear(linear_flux(0.0)),
+                               CONSTANT_SOURCE)
+        res = entropy_residual_max(rec)
+        assert (res.max_residual, res.cell_index, res.k_value) \
+            == (0.1 * 0.2, 0, 0.0)
+        assert np.signbit(res.k_value)
 
 
 def flux_call_shapes(monkeypatch, rec, fluxdesc):

@@ -2,14 +2,16 @@
 
 The digests are sha256 prefixes of the float64 bytes of each series,
 recorded with the CellField-per-stage step that preceded the array-level
-one. A change that moves any float of a run (a reordered sum, a fused
-product, a dropped rounding) changes a digest; the tolerances of the other
-tests would let it pass.
+one; those of the entropy checks' cell and k series with the sorted k-row
+search that preceded the unsorted one. A change that moves any float of a
+run (a reordered sum, a fused product, a dropped rounding) changes a
+digest; the tolerances of the other tests would let it pass.
 """
 
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from splitfv import (
     run_factory,
     solve_on_grid,
 )
+import splitfv.verify
 
 SERIES = ("times", "dts", "linf", "tv", "tv_interior", "ghost_left",
           "ghost_right")
@@ -56,13 +59,30 @@ def line_digests(flux_kind: str) -> dict[str, str]:
                          checkpoint_times=(0.0, 1.0, 2.0),
                          grid=build_grid(0.0, 1.0, 200))
     residuals = [r.max_residual for r in entropy.results]
-    return report_digests(report, [("entropy", residuals)])
+    return report_digests(report, [("entropy", residuals),
+                                   *winner_series(entropy.results)])
+
+
+def winner_series(results) -> list[tuple[str, list]]:
+    """The cell and k series of a run's entropy checks."""
+    return [("entropy cell", [r.cell_index for r in results]),
+            ("entropy k", [r.k_value for r in results])]
 
 
 def shock_digests() -> dict[str, str]:
-    _, report, entropy_max = solve_on_grid(burgers_shock_problem(), 50,
-                                           entropy_check=True)
-    return report_digests(report, [("entropy max", [entropy_max])])
+    kept = []
+
+    class Kept(EntropyObserver):
+        def __init__(self):
+            super().__init__()
+            kept.append(self)
+
+    with mock.patch.object(splitfv.verify, "EntropyObserver", Kept):
+        _, report, entropy_max = solve_on_grid(burgers_shock_problem(), 50,
+                                               entropy_check=True)
+    (entropy,) = kept
+    return report_digests(report, [("entropy max", [entropy_max]),
+                                   *winner_series(entropy.results)])
 
 
 RECORDED = {
@@ -76,6 +96,8 @@ RECORDED = {
         "checkpoint 2.0": "3e64e5ace2da4c0d",
         "dts": "cc55a0c9648f4ec5",
         "entropy": "69f3753b6beabab5",
+        "entropy cell": "f67086ebd4efd5b3",
+        "entropy k": "8548d05b5671fd7e",
         "final": "3e64e5ace2da4c0d",
         "ghost_left": "bad0f3dbcf83739d",
         "ghost_right": "f29c25fedc396d4e",
@@ -94,6 +116,8 @@ RECORDED = {
         "checkpoint 2.0": "3e64e5ace2da4c0d",
         "dts": "cc55a0c9648f4ec5",
         "entropy": "69f3753b6beabab5",
+        "entropy cell": "f67086ebd4efd5b3",
+        "entropy k": "8548d05b5671fd7e",
         "final": "3e64e5ace2da4c0d",
         "ghost_left": "bad0f3dbcf83739d",
         "ghost_right": "f29c25fedc396d4e",
@@ -104,6 +128,8 @@ RECORDED = {
     },
     "burgers shock": {
         "dts": "015751ef80511a4b",
+        "entropy cell": "8107a1ae5981b3e8",
+        "entropy k": "6da72c657abff45d",
         "entropy max": "2d800a0299aa6fb1",
         "final": "33db5e7781752a84",
         "ghost_left": "d453d79d97d74088",

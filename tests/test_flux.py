@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from splitfv import (
     FLUX_KINDS,
@@ -457,6 +457,22 @@ class TestEvalFlux:
             eval_flux(desc, np.nan, 1.0)
         with pytest.raises(ValueError):
             eval_flux(desc, np.array([1.0, np.inf]), np.array([0.0, 0.0]))
+        with pytest.raises(ValueError):
+            eval_flux(desc, np.array([1.0, 0.0]), np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("make_desc", [
+        lambda: upwind_linear(linear_flux(0.72)),
+        lambda: godunov(linear_flux(0.72)),
+    ], ids=["upwind-linear", "godunov"])
+    def test_upwind_route_checks_only_the_state_it_reads(self, make_desc):
+        # F(a, b) is f(a): a non-finite b never reaches the flux, and a
+        # non-finite a is still refused.
+        desc = make_desc()
+        a = np.array([1.0, 2.0])
+        assert_array_equal(eval_flux(desc, a, np.array([0.0, np.inf])),
+                           0.72 * a)
+        with pytest.raises(ValueError, match="non-finite"):
+            eval_flux(desc, np.array([1.0, np.nan]), a)
 
 
 # =============================================================
