@@ -365,7 +365,6 @@ class BoundCheckResult:
     """Observed series against its envelope; margins are bound - observed."""
 
     name: str
-    extended: bool
     reference: float
     bounds: np.ndarray
     observed: np.ndarray
@@ -379,7 +378,7 @@ class BoundCheckResult:
         return self.worst_margin >= -1e-8 * scale
 
 
-def _finish_bound(name: str, extended: bool, reference: float,
+def _finish_bound(name: str, reference: float,
                   times: np.ndarray, rate: float, base: float | np.ndarray,
                   observed: np.ndarray) -> BoundCheckResult:
     # Envelope base * exp(rate (t - t0)): +inf (vacuous) where the growth
@@ -391,7 +390,6 @@ def _finish_bound(name: str, extended: bool, reference: float,
     worst = int(np.argmin(margins))
     return BoundCheckResult(
         name=name,
-        extended=extended,
         reference=reference,
         bounds=bounds,
         observed=observed,
@@ -406,7 +404,7 @@ def check_linf_bound(report: RunReport, cfg: BoundCheckConfig) -> BoundCheckResu
 
     On a bounded domain the boundary data can raise the sup norm, so the
     reference extends the initial norm by the largest ghost magnitude seen
-    during the run (result flagged extended=True when steps were taken).
+    during the run.
     """
     times = np.asarray(report.times)
     observed = np.asarray(report.linf)
@@ -417,7 +415,7 @@ def check_linf_bound(report: RunReport, cfg: BoundCheckConfig) -> BoundCheckResu
             float(np.max(np.abs(report.ghost_right))),
         )
     reference = max(observed[0], ghost_sup)
-    return _finish_bound("linf", report.n_steps > 0, reference, times,
+    return _finish_bound("linf", reference, times,
                          cfg.envelope_rate, reference, observed)
 
 
@@ -449,7 +447,7 @@ def check_tv_bound(report: RunReport, cfg: BoundCheckConfig) -> BoundCheckResult
     else:
         tv0_ext = tv0
         gtv = np.zeros(len(times))
-    return _finish_bound("tv", report.n_steps > 0, float(tv0_ext), times,
+    return _finish_bound("tv", float(tv0_ext), times,
                          cfg.envelope_rate, tv0_ext + gtv + cfg.source_tv_l1,
                          observed)
 

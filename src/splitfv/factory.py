@@ -222,7 +222,8 @@ def steady_density(model: FactoryModel, influx_rate: float) -> float:
 
     Solves v0 * rho * (1 - rho / max_load) = influx_rate and returns the
     smaller root (the free-flowing branch). Raises when the requested rate
-    exceeds the line capacity v0 * max_load / 4.
+    exceeds the line capacity v0 * max_load / 4, or when the root overflows
+    (max_load above about 1.34e154, where max_load**2 is not finite).
     """
     lm = model.max_load
     disc = lm * lm - 4.0 * lm * influx_rate / model.v0
@@ -230,7 +231,13 @@ def steady_density(model: FactoryModel, influx_rate: float) -> float:
         raise ValueError(
             f"influx {influx_rate} exceeds the line capacity {model.v0 * lm / 4.0}"
         )
-    return (lm - math.sqrt(disc)) / 2.0
+    root = (lm - math.sqrt(disc)) / 2.0
+    if not math.isfinite(root):
+        raise ValueError(
+            f"max_load {lm:g} is too large: the steady density at influx "
+            f"{influx_rate:g} is {root}, not finite"
+        )
+    return root
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ class Grid1D:
         Every access returns the same array object, so a sink that caches
         its rates by position (`factory.as_source`) computes them once per
         grid. A plain property filling a private instance-dict entry,
-        unlike `dx`, `CellField.bounds` and `CellField.jumps`: a wrapper of
-        a property's getter then still sees every access.
+        unlike the cached_property `dx`: a wrapper of a property's getter
+        then still sees every access.
         """
         x = self.__dict__.get("_cell_centers")
         if x is None:
@@ -58,15 +58,10 @@ class CellField:
     """Cell-averaged scalar field on a grid at a given time.
 
     The value array is copied on construction and marked read-only, so a
-    field can be shared between step records and observers without risk
-    of aliasing bugs. A step record wraps the read-only arrays the split
-    step computes with `adopt` instead, which skips the copy and the
-    checks, when an observer first reads them as fields.
-
-    `bounds` (min, max) and `jumps` (|u_{j+1} - u_j|, length n_cells - 1)
-    are computed on first access and kept in the instance dict, where
-    later reads find them without a call. That is sound because the values
-    are read-only, so they cannot go stale.
+    field can be shared between reports and observers without risk of
+    aliasing bugs. A step record wraps the read-only arrays the split step
+    computes with `adopt` instead, which skips the copy and the checks,
+    when an observer first reads them as fields.
     """
 
     grid: Grid1D
@@ -99,18 +94,6 @@ class CellField:
         # The class is frozen: fill the instance dict, as __init__ would.
         field.__dict__.update(grid=grid, values=values, time=time)
         return field
-
-    @cached_property
-    def bounds(self) -> tuple[float, float]:
-        """(min, max) of the values."""
-        return float(self.values.min()), float(self.values.max())
-
-    @cached_property
-    def jumps(self) -> np.ndarray:
-        """Read-only |u_{j+1} - u_j| across the interior interfaces."""
-        jumps = np.abs(self.values[1:] - self.values[:-1])
-        jumps.setflags(write=False)
-        return jumps
 
 
 @dataclass(frozen=True)
@@ -162,13 +145,12 @@ def project_initial(u0: Callable, grid: Grid1D, quadrature_points: int = 8) -> C
 
 def total_variation(field: CellField) -> float:
     """Sum of absolute jumps across interior interfaces."""
-    return float(field.jumps.sum())
+    return float(np.abs(np.diff(field.values)).sum())
 
 
 def linf_norm(field: CellField) -> float:
-    """Largest |u_j|, from the field's bounds; abs keeps an all-zero field at +0."""
-    lo, hi = field.bounds
-    return max(abs(lo), abs(hi))
+    """Largest |u_j|; abs keeps an all-zero field at +0."""
+    return float(np.abs(field.values).max())
 
 
 def l1_distance(a: CellField, b: CellField) -> float:

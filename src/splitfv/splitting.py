@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -164,10 +165,6 @@ def fill_ghosts(values: np.ndarray, bc: BoundarySpec,
 # Stages and the combined step
 # =============================================================
 
-def _unbuilt() -> list:
-    return [None]
-
-
 @dataclass(frozen=True)
 class StepRecord:
     """Everything one accepted step produced, for observers and diagnostics.
@@ -175,9 +172,8 @@ class StepRecord:
     The step's states are read-only arrays on `grid`: u_before at t_before,
     u_bar after the source stage (still at t_before) and u_after at
     t_after = t_before + dt. field_before, field_bar and field_after wrap
-    them in CellFields the first time they are read and return that same
-    object on every later read. In a run, a step's field_after is the next
-    step's field_before.
+    them in CellFields (CellField.adopt, no copy) the first time they are
+    read and return that same object on every later read of this record.
     """
 
     grid: Grid1D
@@ -192,36 +188,22 @@ class StepRecord:
     flux_right: float
     fluxdesc: NumericalFluxDescriptor
     src: SourceDescriptor
-    # One-entry cells that hold each state's CellField once it is built.
-    # march hands a record's after-cell to the next record as its
-    # before-cell, so the two share one field.
-    _before: list = dataclass_field(default_factory=_unbuilt, init=False,
-                                    repr=False, compare=False)
-    _bar: list = dataclass_field(default_factory=_unbuilt, init=False,
-                                 repr=False, compare=False)
-    _after: list = dataclass_field(default_factory=_unbuilt, init=False,
-                                   repr=False, compare=False)
 
     @property
     def t_after(self) -> float:
         return self.t_before + self.dt
 
-    def _field(self, cell: list, values: np.ndarray, time: float) -> CellField:
-        if cell[0] is None:
-            cell[0] = CellField.adopt(self.grid, values, time)
-        return cell[0]
-
-    @property
+    @cached_property
     def field_before(self) -> CellField:
-        return self._field(self._before, self.u_before, self.t_before)
+        return CellField.adopt(self.grid, self.u_before, self.t_before)
 
-    @property
+    @cached_property
     def field_bar(self) -> CellField:
-        return self._field(self._bar, self.u_bar, self.t_before)
+        return CellField.adopt(self.grid, self.u_bar, self.t_before)
 
-    @property
+    @cached_property
     def field_after(self) -> CellField:
-        return self._field(self._after, self.u_after, self.t_after)
+        return CellField.adopt(self.grid, self.u_after, self.t_after)
 
 
 # Per-step transport flux: maps the post-source values to the numerical
@@ -275,34 +257,23 @@ def make_step_record(grid: Grid1D, t_before: float, dt: float,
                      u_before: np.ndarray, u_bar: np.ndarray,
                      u_after: np.ndarray, ghost_left: float,
                      ghost_right: float, flux_left: float, flux_right: float,
-                     fluxdesc: NumericalFluxDescriptor, src: SourceDescriptor,
-                     before_cell: list | None = None) -> StepRecord:
-    """Assemble the StepRecord of one accepted step; it checks nothing.
-
-    before_cell, when given, is the one-entry list that holds (or will
-    hold) the CellField of u_before: the previous record's after-cell, or
-    a list holding the run's initial field. The record shares it, so both
-    records build and return one field.
-    """
-    rec = StepRecord(grid, t_before, dt, u_before, u_bar, u_after,
-                     ghost_left, ghost_right, flux_left, flux_right,
-                     fluxdesc, src)
-    if before_cell is not None:
-        object.__setattr__(rec, "_before", before_cell)
-    return rec
+                     fluxdesc: NumericalFluxDescriptor,
+                     src: SourceDescriptor) -> StepRecord:
+    """Assemble the StepRecord of one accepted step; it checks nothing."""
+    return StepRecord(grid, t_before, dt, u_before, u_bar, u_after,
+                      ghost_left, ghost_right, flux_left, flux_right,
+                      fluxdesc, src)
 
 
 def split_step(grid: Grid1D, u: np.ndarray, t: float, dt: float,
                src: SourceDescriptor, bc: BoundarySpec, flux_for: FluxBuilder,
-               edge: tuple[float, float | None], x: np.ndarray,
-               before_cell: list | None = None) -> StepRecord:
+               edge: tuple[float, float | None], x: np.ndarray) -> StepRecord:
     """One full split step of the values u at time t: the source stage,
     then transport.
 
     flux_for builds the step's flux from the post-source values; edge holds
     bc's schedules read at t (bc.values_at) and x the cell centres of grid.
-    before_cell is passed on to make_step_record. Refuses to run outside
-    its stability conditions.
+    Refuses to run outside its stability conditions.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -314,17 +285,16 @@ def split_step(grid: Grid1D, u: np.ndarray, t: float, dt: float,
     )
     return make_step_record(
         grid, t, dt, u, bar, after, ghost_left, ghost_right, flux_left,
-        flux_right, fluxdesc, src, before_cell,
+        flux_right, fluxdesc, src,
     )
 
 
 def step(field: CellField, dt: float, fluxdesc: NumericalFluxDescriptor,
          src: SourceDescriptor, bc: BoundarySpec) -> StepRecord:
-    """One full split step of a field with a fixed flux; the record's
-    field_before is `field`."""
+    """One full split step of a field with a fixed flux."""
     return split_step(field.grid, field.values, field.time, dt, src, bc,
                       lambda bar: fluxdesc, bc.values_at(field.time),
-                      field.grid.cell_centers, [field])
+                      field.grid.cell_centers)
 
 
 # =============================================================
@@ -363,7 +333,8 @@ class RunReport:
         report.times.append(initial.time)
         report.linf.append(linf_norm(initial))
         report.tv.append(total_variation(initial))
-        report.tv_interior.append(float(initial.jumps[1:-1].sum()))
+        u = initial.values
+        report.tv_interior.append(float(np.abs(u[1:] - u[:-1])[1:-1].sum()))
         return report
 
     def _append_channels(self, values: dict[str, float]) -> None:
@@ -445,7 +416,7 @@ def march(initial: CellField, t_final: float,
 
     # The state's time advances by each step's dt; t is the marching time,
     # set to the exact time each step lands on.
-    u, time, cell = initial.values, initial.time, [initial]
+    u, time = initial.values, initial.time
     t = initial.time
     while t < t_final - tiny:
         edge = bc.values_at(time)
@@ -461,10 +432,9 @@ def march(initial: CellField, t_final: float,
             t_next = t_final
         if t_next - t < 1e-14 * max(1.0, abs(t_final)):
             raise RuntimeError(f"step size collapsed at t={t}")
-        rec = split_step(grid, u, time, t_next - t, src, bc, flux_for, edge,
-                         x, cell)
+        rec = split_step(grid, u, time, t_next - t, src, bc, flux_for, edge, x)
         report.record_step(rec)
-        u, time, cell = rec.u_after, rec.t_after, rec._after
+        u, time = rec.u_after, rec.t_after
         if channels is not None:
             report._append_channels(channels(u, time))
         for observer in observers:

@@ -424,6 +424,23 @@ class TestMainErrors:
         assert key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines", [
+        "max_load = 1e200\n",
+        "v0 = 1e300\nmax_load = 1e300\ninflux_before = 1e300\n"
+        "influx_after = 1e300\n",
+    ])
+    def test_overflowing_steady_density_names_max_load(self, tmp_path, capsys,
+                                                       lines):
+        # The steady density used to overflow to -inf or NaN here, and the
+        # run then exited 1 on the non-finite initial field, naming no key.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"t_final = 1.0\n{lines}output_dir = {out}\n")
+        assert main([str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "max_load" in err
+        assert not out.exists()
+
     def test_negative_seed_is_refused_before_the_run(self, tmp_path, capsys):
         # The seed reaches numpy only after the run; a negative one used to
         # get that far and then exit 1 without naming the key.

@@ -984,7 +984,6 @@ class TestStabilityBounds:
         report, cfg = factory_run
         res = check_linf_bound(report, cfg)
         assert res.passed
-        assert res.extended
         assert res.name == "linf"
         assert len(res.margins) == len(report.times)
         # The influx ghost exceeds the initial interior norm here.
@@ -994,7 +993,6 @@ class TestStabilityBounds:
         report, cfg = factory_run
         res = check_tv_bound(report, cfg)
         assert res.passed
-        assert res.extended
         assert res.worst_margin >= 0.0 or res.passed
 
     def test_mutated_series_fails_the_linf_bound(self, factory_run):
@@ -1019,7 +1017,7 @@ class TestStabilityBounds:
         finally:
             report.tv_interior = original
 
-    def test_zero_step_run_is_not_extended(self):
+    def test_zero_step_run_has_a_flat_envelope(self):
         scenario = preset_scenario("testcase1")
         report = run_factory(scenario.model, scenario.initial_density,
                              time_axis=TimeAxis(0.0),
@@ -1027,7 +1025,7 @@ class TestStabilityBounds:
         assert report.n_steps == 0
         cfg = BoundCheckConfig(growth_const=0.03, dt_cap=0.05)
         res = check_linf_bound(report, cfg)
-        assert res.passed and not res.extended
+        assert res.passed
         assert_allclose(res.bounds, res.reference)
 
 

@@ -14,9 +14,13 @@ from splitfv import (
     TimeAxis,
     build_grid,
     l1_distance,
+    linear_flux,
     linf_norm,
+    make_step_record,
     project_initial,
     total_variation,
+    upwind_linear,
+    zero_source,
 )
 
 
@@ -101,14 +105,16 @@ def _same(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-class TestSharedBoundsAndJumps:
-    """The norms read each field's cached bounds and jumps; they must equal
-    the direct formulas they replaced, signed zeros included."""
+class TestNormFormulas:
+    """The norms, a report's first entries and the entries record_step
+    appends from a step's arrays equal the direct formulas, signed zeros
+    included."""
 
     @pytest.mark.parametrize("n_cells", [2, 3, 4, 7, 200, 3200])
     @pytest.mark.parametrize("adopted", [False, True])
     def test_norms_equal_the_direct_formulas(self, n_cells, adopted):
         grid = build_grid(0.0, 1.0, n_cells)
+        fluxdesc, src = upwind_linear(linear_flux(1.0)), zero_source()
         for k, values in enumerate(_fields(n_cells, seed=n_cells)):
             if adopted:
                 field = CellField.adopt(grid, values.copy(), 0.0)
@@ -118,21 +124,20 @@ class TestSharedBoundsAndJumps:
             tv = float(np.abs(values[1:] - values[:-1]).sum())
             tv_interior = float(np.abs(values[2:-1] - values[1:-2]).sum())
             report = RunReport.start(field)
+            after = values.copy()
+            after.setflags(write=False)
+            report.record_step(make_step_record(
+                grid, 0.0, 0.1, field.values, field.values, after, 0.0, 0.0,
+                0.0, 0.0, fluxdesc, src))
             for got, want in ((linf_norm(field), linf),
                               (report.linf[0], linf),
+                              (report.linf[1], linf),
                               (total_variation(field), tv),
                               (report.tv[0], tv),
-                              (report.tv_interior[0], tv_interior)):
+                              (report.tv[1], tv),
+                              (report.tv_interior[0], tv_interior),
+                              (report.tv_interior[1], tv_interior)):
                 assert _same(got, want), (k, got, want)
-
-    def test_bounds_and_jumps_are_computed_once(self, unit_grid):
-        field = CellField(unit_grid, np.array([0.5, -2.5, 1.0, -0.0]))
-        assert field.bounds is field.bounds
-        assert field.bounds == (-2.5, 1.0)
-        jumps = field.jumps
-        assert field.jumps is jumps
-        assert jumps.tolist() == [3.0, 3.5, 1.0]
-        assert not jumps.flags.writeable
 
 
 class TestTimeAxis:
