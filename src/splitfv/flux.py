@@ -19,10 +19,10 @@ Godunov and Engquist-Osher are both evaluated exactly from values of f at
 the interface states, at 0 (Engquist-Osher) and at the critical points of
 f (zeros of f'): f is monotone between consecutive critical points, so the
 extrema of f and the integrals of the parts of f' are read off those values
-(Engquist & Osher, Math. Comp. 36, 1981). A physical flux may declare its
-critical points; every shipped flux (linear, Burgers, zero) does, and for
-them no search runs. Other fluxes are searched by a slope scan and
-bisection on every Godunov or Engquist-Osher call.
+(Engquist & Osher, Math. Comp. 36, 1981). A physical flux declares its
+critical points and its bound on |f'|, as every shipped flux (linear,
+Burgers, zero) does: neither is estimated, so the CFL step and the
+Godunov and Engquist-Osher extrema rest on the declaration alone.
 
 A physical flux may also declare itself linear, f(u) = f(1) * u, as
 linear_flux and zero_flux do; it then holds its speed f(1), read once at
@@ -58,15 +58,14 @@ _MONOTONE_SAMPLES = 50
 
 @dataclass(frozen=True)
 class PhysicalFlux:
-    """Scalar flux function f with optional derivative and Lipschitz bound.
+    """Scalar flux function f with its Lipschitz bound and critical points.
 
     Args:
         func: f(u), vectorized over numpy arrays.
-        deriv: f'(u) if known; a central finite difference is used otherwise.
-        lipschitz_on: callable (lo, hi) -> sup of |f'| over [lo, hi]; when
-            absent the bound is estimated by dense sampling of the slope.
-        critical: the sorted zeros of f' if known; they are searched for
-            on every call of `critical_points` otherwise.
+        lipschitz_on: callable (lo, hi) -> sup of |f'| over [lo, hi], lo <= hi.
+        critical: the zeros of f', a strictly increasing tuple of finite
+            floats (ValueError otherwise); () for a monotone or constant f.
+            Nothing checks them against f'.
         linear: declares f(u) = f(1) * u. Nothing checks the declaration;
             a false one makes upwind-linear inconsistent and lets the
             entropy check miss a maximum inside a piece, or take f(a) for
@@ -79,13 +78,21 @@ class PhysicalFlux:
     """
 
     func: Callable
-    deriv: Callable | None = None
-    lipschitz_on: Callable | None = None
-    critical: tuple[float, ...] | None = None
+    lipschitz_on: Callable
+    critical: tuple[float, ...]
     linear: bool = False
     _speed: InitVar[float | None] = None
 
     def __post_init__(self, _speed):
+        crit = self.critical
+        # The empty tuple of a linear flux, built on every line step, is
+        # accepted without a call.
+        if type(crit) is not tuple or crit and not (
+                all(isinstance(c, float) and math.isfinite(c) for c in crit)
+                and all(a < b for a, b in zip(crit, crit[1:]))):
+            raise ValueError(
+                "critical must be a tuple of finite floats in strictly "
+                f"increasing order, got {crit!r}")
         if not self.linear:
             speed = None
         elif _speed is not None:
@@ -101,28 +108,6 @@ class PhysicalFlux:
             return float(out)
         return np.asarray(out, dtype=float)
 
-    def slope(self, u):
-        if self.deriv is not None:
-            out = self.deriv(np.asarray(u, dtype=float))
-            if np.isscalar(u) or np.ndim(u) == 0:
-                return float(out)
-            return np.asarray(out, dtype=float)
-        uu = np.asarray(u, dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.abs(uu))
-        out = (self.func(uu + h) - self.func(uu - h)) / (2.0 * h)
-        if np.isscalar(u) or np.ndim(u) == 0:
-            return float(out)
-        return out
-
-    def bound(self, lo: float, hi: float) -> float:
-        """Sup of |f'| over [lo, hi] (exact if lipschitz_on given, sampled otherwise)."""
-        if hi < lo:
-            lo, hi = hi, lo
-        if self.lipschitz_on is not None:
-            return float(self.lipschitz_on(lo, hi))
-        s = np.linspace(lo, hi, 513) if hi > lo else np.array([lo])
-        return float(np.max(np.abs(self.slope(s))))
-
 
 def linear_flux(speed: float) -> PhysicalFlux:
     """f(u) = speed * u; declared linear, with no critical points.
@@ -134,7 +119,6 @@ def linear_flux(speed: float) -> PhysicalFlux:
     c = float(speed)
     return PhysicalFlux(
         func=lambda u: c * u,
-        deriv=lambda u: c * np.ones_like(np.asarray(u, dtype=float)),
         lipschitz_on=lambda lo, hi: abs(c),
         critical=(),
         linear=True,
@@ -146,7 +130,6 @@ def burgers_flux() -> PhysicalFlux:
     """f(u) = u^2 / 2."""
     return PhysicalFlux(
         func=lambda u: 0.5 * u * u,
-        deriv=lambda u: np.asarray(u, dtype=float),
         lipschitz_on=lambda lo, hi: max(abs(lo), abs(hi)),
         critical=(0.0,),
     )
@@ -156,7 +139,6 @@ def zero_flux() -> PhysicalFlux:
     """f identically zero (pure source problems); declared linear."""
     return PhysicalFlux(
         func=lambda u: 0.0 * np.asarray(u, dtype=float),
-        deriv=lambda u: 0.0 * np.asarray(u, dtype=float),
         lipschitz_on=lambda lo, hi: 0.0,
         critical=(),
         linear=True,
@@ -219,39 +201,8 @@ def engquist_osher(physical: PhysicalFlux) -> NumericalFluxDescriptor:
 # =============================================================
 
 def critical_points(phys: PhysicalFlux, lo: float, hi: float) -> list[float]:
-    """Zeros of f' in (lo, hi): the declared ones, or else located by
-    bisection on a 64-point pre-scan."""
-    if phys.critical is not None:
-        return [c for c in phys.critical if lo < c < hi]
-    if not hi > lo:
-        return []
-    s = np.linspace(lo, hi, 64)
-    d = phys.slope(s)
-    # Signs are compared rather than products, which underflow to zero for
-    # slopes near the origin of a tiny bracket.
-    sign = np.sign(d)
-    crits = [float(s[i]) for i in range(1, 63) if d[i] == 0.0]
-    for i in range(63):
-        if sign[i] * sign[i + 1] < 0.0:
-            a, b = float(s[i]), float(s[i + 1])
-            da = float(d[i])
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                dm = float(phys.slope(m))
-                if dm == 0.0:
-                    a = b = m
-                    break
-                if (da < 0.0) != (dm < 0.0):
-                    b = m
-                else:
-                    a, da = m, dm
-            crit = 0.5 * (a + b)
-            # Bisection ends within ~1e-26 of a zero at the origin, on a side
-            # set by the scan range; snap to it so the point is exact.
-            if a <= 0.0 <= b and phys.slope(0.0) == 0.0:
-                crit = 0.0
-            crits.append(crit)
-    return sorted(crits)
+    """The declared zeros of f' in (lo, hi)."""
+    return [c for c in phys.critical if lo < c < hi]
 
 
 def _godunov_eval(phys: PhysicalFlux, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -379,10 +330,13 @@ def check_monotone(
 def flux_lipschitz(desc: NumericalFluxDescriptor, lo: float, hi: float) -> float:
     """Lipschitz constant governing the CFL restriction over [lo, hi].
 
-    For upwind-linear, godunov and engquist-osher this is sup|f'|; for
+    For upwind-linear, godunov and engquist-osher this is the declared
+    sup|f'| (PhysicalFlux.lipschitz_on, on the ordered bracket); for
     lax-friedrichs the viscosity also enters: max(sup|f'|, alpha).
     """
-    base = desc.physical.bound(lo, hi)
+    if hi < lo:
+        lo, hi = hi, lo
+    base = float(desc.physical.lipschitz_on(lo, hi))
     if desc.kind == "lax-friedrichs":
         return max(base, desc.viscosity)
     return base

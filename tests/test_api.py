@@ -73,10 +73,14 @@ def test_each_input_has_one_home():
 
 
 def test_readme_example_prints_the_value_in_its_comment():
+    # Every python block of the README runs on its own and prints the value
+    # its last comment gives.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
-    commented = float(re.search(r"#\s*~([0-9.]+)", block).group(1))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        exec(compile(block, "README.md", "exec"), {})
-    assert abs(float(out.getvalue()) - commented) <= 5e-5
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        commented = float(re.findall(r"#\s*~([0-9.]+)", block)[-1])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        assert abs(float(out.getvalue()) - commented) <= 5e-5

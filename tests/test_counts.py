@@ -77,9 +77,9 @@ PINS = {
 # comprehension, the sink and its descriptor, _is_upwind, f and its
 # descriptor, the source term and the ranking's comprehension.
 PYTHON_CALL_PINS = {
-    ("simulate", "upwind-linear"): 2881,
-    ("verify", "godunov"): 4144,
-    ("converge", "burgers_shock"): 3088,
+    ("simulate", "upwind-linear"): 2801,
+    ("verify", "godunov"): 4064,
+    ("converge", "burgers_shock"): 3007,
 }
 PACKAGE_DIR = os.path.dirname(os.path.abspath(splitfv.__file__)) + os.sep
 

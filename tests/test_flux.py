@@ -39,8 +39,24 @@ def cubic_flux() -> PhysicalFlux:
     """Nonconvex flux u^3/3 - u with interior critical points at -1 and 1."""
     return PhysicalFlux(
         func=lambda u: u ** 3 / 3.0 - u,
-        deriv=lambda u: u ** 2 - 1.0,
+        # |u^2 - 1| is largest at an end of [lo, hi], or 1 at u = 0.
+        lipschitz_on=lambda lo, hi: max(abs(lo * lo - 1.0), abs(hi * hi - 1.0),
+                                        1.0 if lo <= 0.0 <= hi else 0.0),
+        critical=(-1.0, 1.0),
     )
+
+
+# Each flux under test with its f' and the exact zeros of f'. The package
+# declares critical points and bounds but no derivative, so the oracles
+# below take f' and its zeros from this table.
+FLUXES = {
+    "linear+": (lambda: linear_flux(0.7), lambda u: 0.7 + 0.0 * u, ()),
+    "linear-": (lambda: linear_flux(-0.7), lambda u: -0.7 + 0.0 * u, ()),
+    "burgers": (burgers_flux, lambda u: u, (0.0,)),
+    "cubic": (cubic_flux, lambda u: u * u - 1.0, (-1.0, 1.0)),
+}
+# Fluxes of zero slope: constant, so they declare no critical points.
+FLAT_FLUXES = {"linear-0": lambda: linear_flux(0.0), "zero": zero_flux}
 
 
 @pytest.fixture
@@ -56,23 +72,36 @@ class TestPhysicalFlux:
     def test_linear(self):
         phys = linear_flux(0.72)
         assert phys.eval(2.0) == pytest.approx(1.44)
-        assert phys.slope(5.0) == pytest.approx(0.72)
-        assert phys.bound(-3.0, 2.0) == pytest.approx(0.72)
+        assert phys.lipschitz_on(-3.0, 2.0) == pytest.approx(0.72)
 
     def test_burgers(self):
         phys = burgers_flux()
         assert phys.eval(2.0) == pytest.approx(2.0)
-        assert phys.slope(-1.5) == pytest.approx(-1.5)
-        assert phys.bound(-1.0, 2.0) == pytest.approx(2.0)
+        assert phys.lipschitz_on(-1.0, 2.0) == pytest.approx(2.0)
 
     def test_zero(self):
         phys = zero_flux()
         assert phys.eval(3.0) == 0.0
-        assert phys.bound(-5.0, 5.0) == 0.0
+        assert phys.lipschitz_on(-5.0, 5.0) == 0.0
 
-    def test_finite_difference_slope_fallback(self):
-        phys = PhysicalFlux(func=lambda u: np.sin(u))
-        assert phys.slope(0.3) == pytest.approx(np.cos(0.3), abs=1e-6)
+    def test_bound_and_critical_points_are_required(self):
+        with pytest.raises(TypeError, match="lipschitz_on"):
+            PhysicalFlux(func=lambda u: u, critical=())
+        with pytest.raises(TypeError, match="critical"):
+            PhysicalFlux(func=lambda u: u, lipschitz_on=lambda lo, hi: 1.0)
+        with pytest.raises(TypeError):
+            PhysicalFlux(func=lambda u: u)
+
+    @pytest.mark.parametrize("critical", [
+        (1.0, -1.0), (0.0, 0.0), (float("nan"),), (-float("inf"), 1.0),
+        [-1.0, 1.0], None, (0,),
+    ], ids=["decreasing", "repeated", "nan", "infinite", "list", "none", "int"])
+    def test_malformed_critical_points_are_refused(self, critical):
+        # Engquist-Osher sums the changes of f along [lo, c_1, ..., hi] in
+        # the order declared, so a flux declaring them out of order is
+        # refused rather than given a wrong flux.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dataclasses.replace(cubic_flux(), critical=critical)
 
     @pytest.mark.parametrize("make_phys", [
         lambda: linear_flux(0.0), lambda: linear_flux(0.72),
@@ -97,10 +126,24 @@ class TestPhysicalFlux:
         assert zero_flux().speed == 0.0
         assert dataclasses.replace(linear_flux(0.72), linear=False).speed is None
 
-    def test_bound_without_declared_lipschitz_samples_derivative(self):
+    def test_cubic_declares_its_bound(self):
         phys = cubic_flux()
-        # sup |u^2 - 1| over [-2, 2] is 3 (at the endpoints).
-        assert phys.bound(-2.0, 2.0) == pytest.approx(3.0, rel=1e-6)
+        # sup |u^2 - 1| over [-2, 2] is 3 (at the endpoints); over
+        # [-0.5, 0.5] it is 1 (at 0).
+        assert phys.lipschitz_on(-2.0, 2.0) == 3.0
+        assert phys.lipschitz_on(-0.5, 0.5) == 1.0
+
+    @pytest.mark.parametrize("name", sorted(FLUXES) + sorted(FLAT_FLUXES))
+    @pytest.mark.parametrize("lo,hi", [
+        (-2.0, 2.0), (-0.5, 0.5), (0.5, 2.0), (-3.0, -1.5), (1.0, 1.0),
+    ])
+    def test_declared_bound_reaches_the_slope_on_a_dense_lattice(self, name, lo, hi):
+        if name in FLUXES:
+            make_phys, deriv, _ = FLUXES[name]
+        else:
+            make_phys, deriv = FLAT_FLUXES[name], lambda u: 0.0 * u
+        s = np.linspace(lo, hi, 10001)
+        assert make_phys().lipschitz_on(lo, hi) >= np.abs(deriv(s)).max()
 
 
 # =============================================================
@@ -124,7 +167,8 @@ class TestDescriptors:
     def test_upwind_linear_reads_the_declaration(self):
         # A linear flux that does not declare itself is refused, without
         # probing its values; declaring it is enough.
-        undeclared = PhysicalFlux(func=lambda u: 0.72 * u)
+        undeclared = PhysicalFlux(func=lambda u: 0.72 * u,
+                                  lipschitz_on=lambda lo, hi: 0.72, critical=())
         with pytest.raises(ValueError, match="declared linear"):
             upwind_linear(undeclared)
         desc = upwind_linear(dataclasses.replace(undeclared, linear=True))
@@ -178,7 +222,6 @@ class TestGodunov:
 
     @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (-0.5, 2.0), (-1.0, 2.0)])
     def test_burgers_critical_point_is_exactly_zero(self, lo, hi):
-        # Bisection alone ends ~1e-26 off zero, on a side set by the range.
         assert critical_points(burgers_flux(), lo, hi) == [0.0]
 
     def test_matches_brute_force_on_nonconvex_flux(self, rng):
@@ -227,41 +270,39 @@ class TestEngquistOsher:
             assert eval_flux(desc, a, b) == pytest.approx(expected, abs=5e-7)
 
 
-def quadrature_engquist_osher(phys: PhysicalFlux, a: float, b: float) -> float:
-    """Engquist-Osher by adaptive quadrature of the parts of f', split at
-    the critical points; a reference for the closed form."""
+def quadrature_engquist_osher(name: str, a: float, b: float) -> float:
+    """Engquist-Osher for the flux `name` of FLUXES by adaptive quadrature
+    of the parts of its f', split at the zeros of f'; a reference for the
+    closed form."""
     quad = pytest.importorskip("scipy.integrate").quad
-    f0 = phys.eval(0.0)
+    make_phys, deriv, zeros = FLUXES[name]
+    f0 = make_phys().eval(0.0)
 
     def oriented(limit: float, part) -> float:
         if limit == 0.0:
             return 0.0
         lo, hi = min(0.0, limit), max(0.0, limit)
-        pts = [c for c in critical_points(phys, lo, hi) if lo < c < hi] or None
+        pts = [c for c in zeros if lo < c < hi] or None
         val, _ = quad(
             part, 0.0, limit, points=pts, limit=200, epsabs=1e-14, epsrel=1e-12,
             full_output=0,
         )
         return val
 
-    pos = oriented(a, lambda s: max(phys.slope(s), 0.0))
-    neg = oriented(b, lambda s: min(phys.slope(s), 0.0))
+    pos = oriented(a, lambda s: max(deriv(s), 0.0))
+    neg = oriented(b, lambda s: min(deriv(s), 0.0))
     return f0 + pos + neg
 
 
 class TestEngquistOsherClosedForm:
-    @pytest.mark.parametrize("make_phys", [
-        lambda: linear_flux(0.72),
-        burgers_flux,
-        cubic_flux,
-    ])
-    def test_matches_quadrature_on_the_axiom_lattice(self, make_phys):
-        phys = make_phys()
+    @pytest.mark.parametrize("name", ["linear+", "burgers", "cubic"])
+    def test_matches_quadrature_on_the_axiom_lattice(self, name):
+        phys = FLUXES[name][0]()
         s = np.linspace(-1.5, 1.5, 50)
         A, B = np.meshgrid(s, s, indexing="ij")
         got = eval_flux(engquist_osher(phys), A, B)
         expected = np.array([
-            quadrature_engquist_osher(phys, a, b)
+            quadrature_engquist_osher(name, a, b)
             for a, b in zip(A.ravel(), B.ravel())
         ]).reshape(A.shape)
         assert_allclose(got, expected, rtol=0.0, atol=1e-12)
@@ -282,92 +323,75 @@ class TestEngquistOsherClosedForm:
         assert calls[0] == (float(b.min()), float(a.max()))
 
 
-DECLARED_FLUXES = {
-    "linear+": lambda: linear_flux(0.7),
-    "linear-": lambda: linear_flux(-0.7),
-    "burgers": burgers_flux,
-}
+BRACKETS = [
+    (-1.0, 1.0),    # 0 inside; -1 and 1 at the ends
+    (-2.0, 2.0),    # -1, 0 and 1 inside
+    (-0.5, 0.5),    # 0 inside, -1 and 1 outside
+    (0.0, 2.0),     # 0 at lo
+    (-2.0, 0.0),    # 0 at hi
+    (0.5, 2.0),     # 0 outside, above
+    (-2.0, -0.5),   # 0 outside, below
+    (-1.0, 62.0),   # wide brackets
+    (-3.0, 60.0),
+    (1.0, 1.0),     # empty bracket
+    (0.0, 0.0),
+    (2.0, -2.0),    # reversed bracket
+]
 
 
-FLAT_FLUXES = [lambda: linear_flux(0.0), zero_flux]
-
-
-def scanned(phys: PhysicalFlux) -> PhysicalFlux:
-    """The same flux with its critical points left to the search, and not
-    declared linear, so that Godunov takes its extremum pass."""
-    return dataclasses.replace(phys, critical=None, linear=False)
+def extremum_pass(phys: PhysicalFlux) -> PhysicalFlux:
+    """The same flux not declared linear, so that Godunov takes its
+    extremum pass over the declared critical points."""
+    return dataclasses.replace(phys, linear=False)
 
 
 class TestDeclaredCriticalPoints:
-    @pytest.mark.parametrize("name", sorted(DECLARED_FLUXES))
-    @pytest.mark.parametrize("lo,hi", [
-        (-1.0, 1.0),    # 0 inside
-        (0.0, 2.0),     # 0 at lo
-        (-2.0, 0.0),    # 0 at hi
-        (0.5, 2.0),     # 0 outside, above
-        (-2.0, -0.5),   # 0 outside, below
-        (-1.0, 62.0),   # 0 on a node of the 64-point scan
-        (-3.0, 60.0),   # 0 on another node
-        (1.0, 1.0),     # empty bracket
-        (0.0, 0.0),
-        (2.0, -2.0),    # reversed bracket
-    ])
-    def test_declared_points_equal_the_scan(self, name, lo, hi):
-        phys = DECLARED_FLUXES[name]()
-        assert phys.critical is not None
-        assert critical_points(phys, lo, hi) == critical_points(scanned(phys), lo, hi)
+    @pytest.mark.parametrize("name", sorted(FLUXES))
+    @pytest.mark.parametrize("lo,hi", BRACKETS)
+    def test_declared_points_equal_the_exact_zeros(self, name, lo, hi):
+        make_phys, deriv, zeros = FLUXES[name]
+        assert not deriv(np.array(zeros)).any()
+        assert critical_points(make_phys(), lo, hi) == [z for z in zeros if lo < z < hi]
 
-    @pytest.mark.parametrize("name", sorted(DECLARED_FLUXES))
+    @pytest.mark.parametrize("name", sorted(FLUXES))
     @pytest.mark.parametrize("make_desc", [godunov, engquist_osher])
     def test_fluxes_are_bitwise_equal_on_the_axiom_lattice(self, name, make_desc):
-        phys = DECLARED_FLUXES[name]()
+        phys = FLUXES[name][0]()
         s = np.linspace(-1.5, 1.5, 50)
         A, B = np.meshgrid(s, s, indexing="ij")
         got = eval_flux(make_desc(phys), A, B)
-        expected = eval_flux(make_desc(scanned(phys)), A, B)
+        expected = eval_flux(make_desc(extremum_pass(phys)), A, B)
         assert got.tobytes() == expected.tobytes()
 
-    def test_declared_flux_makes_no_slope_call(self, monkeypatch):
-        calls = []
-        slope = PhysicalFlux.slope
-
-        def counted(self, u):
-            calls.append(u)
-            return slope(self, u)
-
-        monkeypatch.setattr(PhysicalFlux, "slope", counted)
-        for make_phys in DECLARED_FLUXES.values():
-            critical_points(make_phys(), -1.0, 1.0)
-        assert calls == []
-        critical_points(cubic_flux(), -2.0, 2.0)
-        assert calls
-
-    @pytest.mark.parametrize("make_phys", FLAT_FLUXES)
-    def test_flat_fluxes_declare_no_critical_points(self, make_phys):
-        phys = make_phys()
+    @pytest.mark.parametrize("name", sorted(FLAT_FLUXES))
+    @pytest.mark.parametrize("lo,hi", BRACKETS)
+    def test_flat_fluxes_declare_no_critical_points(self, name, lo, hi):
+        # f' vanishes everywhere, but f is constant: no point is needed.
+        phys = FLAT_FLUXES[name]()
         assert phys.critical == ()
-        assert critical_points(phys, -1.0, 1.0) == []
+        assert critical_points(phys, lo, hi) == []
 
-    @pytest.mark.parametrize("make_phys", FLAT_FLUXES)
+    @pytest.mark.parametrize("name", sorted(FLAT_FLUXES))
     @pytest.mark.parametrize("make_desc", [godunov, engquist_osher])
-    def test_flat_fluxes_equal_the_scan_on_the_axiom_lattice(self, make_phys,
-                                                             make_desc):
-        # The scan finds 62 points where f' vanishes; f is constant there,
-        # so they change nothing but the sign of a zero under Godunov.
-        phys = make_phys()
+    def test_flat_fluxes_equal_the_extremum_pass_on_the_axiom_lattice(
+            self, name, make_desc):
+        # f is constant, so the pass changes nothing but the sign of a zero
+        # under Godunov.
+        phys = FLAT_FLUXES[name]()
         s = np.linspace(-1.5, 1.5, 50)
         A, B = np.meshgrid(s, s, indexing="ij")
         got = eval_flux(make_desc(phys), A, B)
-        expected = eval_flux(make_desc(scanned(phys)), A, B)
+        expected = eval_flux(make_desc(extremum_pass(phys)), A, B)
         assert np.array_equal(got, expected)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(sorted(DECLARED_FLUXES)),
+@given(st.sampled_from(sorted(FLUXES)),
        st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
-def test_declared_critical_points_match_the_scan_on_random_brackets(name, lo, hi):
-    phys = DECLARED_FLUXES[name]()
-    assert critical_points(phys, lo, hi) == critical_points(scanned(phys), lo, hi)
+def test_declared_critical_points_match_the_exact_zeros_on_random_brackets(
+        name, lo, hi):
+    make_phys, _, zeros = FLUXES[name]
+    assert critical_points(make_phys(), lo, hi) == [z for z in zeros if lo < z < hi]
 
 
 def line_interface_states():

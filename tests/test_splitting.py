@@ -79,7 +79,8 @@ class TestBoundaries:
         edge = bc.values_at(0.0)
         with pytest.raises(ValueError, match="declared linear"):
             fill_ghosts(np.ones(2), bc, edge, burgers_flux())
-        undeclared = PhysicalFlux(func=lambda u: 0.5 * u)
+        undeclared = PhysicalFlux(func=lambda u: 0.5 * u,
+                                  lipschitz_on=lambda lo, hi: 0.5, critical=())
         with pytest.raises(ValueError, match="declared linear"):
             fill_ghosts(np.ones(2), bc, edge, undeclared)
 
